@@ -7,14 +7,13 @@ throughput cost and the crash-recovery time, exposing the
 durability-granularity / performance trade-off.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.manager.writeback import FlashTierWBManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import WARMUP_FRACTION, get_trace, once, system_config
 
@@ -34,7 +33,9 @@ def run_sweep():
             ),
         )
         manager = FlashTierWBManager(ssc, Disk(config.disk_blocks))
-        stats = replay_trace(manager, trace.records, warmup_fraction=WARMUP_FRACTION)
+        stats = ReplayEngine(manager).run(
+            trace.records, warmup_fraction=WARMUP_FRACTION
+        )
         ssc.crash()
         recovery_us = ssc.recover()
         rows.append(

@@ -8,14 +8,13 @@ write-back traffic, smaller dirty table, more evictable cache), a high
 one absorbs more overwrites in flash but risks device back-pressure.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.manager.writeback import FlashTierWBManager, WriteBackConfig
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import WARMUP_FRACTION, get_trace, once, system_config
 
@@ -35,8 +34,8 @@ def run_sweep():
         manager = FlashTierWBManager(
             ssc, disk, WriteBackConfig(dirty_threshold=threshold)
         )
-        stats = replay_trace(manager, trace.records,
-                             warmup_fraction=WARMUP_FRACTION)
+        stats = ReplayEngine(manager).run(trace.records,
+                                         warmup_fraction=WARMUP_FRACTION)
         rows.append({
             "threshold": threshold,
             "iops": stats.iops(),

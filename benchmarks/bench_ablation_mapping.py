@@ -8,13 +8,12 @@ SSC performance beats both (eviction instead of copying) at hybrid-like
 memory cost.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.ftl.ssd import SSD
 from repro.manager.native import NativeCacheManager, NativeConfig
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import (
     WARMUP_FRACTION,
@@ -36,7 +35,9 @@ def run_ablation():
         manager = NativeCacheManager(
             ssd, Disk(config.disk_blocks), NativeConfig(consistency=False)
         )
-        stats = replay_trace(manager, trace.records, warmup_fraction=WARMUP_FRACTION)
+        stats = ReplayEngine(manager).run(
+            trace.records, warmup_fraction=WARMUP_FRACTION
+        )
         rows.append({
             "mapping": mapping,
             "iops": stats.iops(),

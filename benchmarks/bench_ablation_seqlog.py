@@ -6,14 +6,13 @@ This ablation disables the dedicated sequential log block and measures
 what streams through the cache lose.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import WARMUP_FRACTION, get_trace, once, system_config
 
@@ -31,8 +30,8 @@ def run_sweep():
                              sequential_log=sequential_log),
         )
         manager = FlashTierWTManager(ssc, Disk(config.disk_blocks))
-        stats = replay_trace(manager, trace.records,
-                             warmup_fraction=WARMUP_FRACTION)
+        stats = ReplayEngine(manager).run(trace.records,
+                                         warmup_fraction=WARMUP_FRACTION)
         rows.append({
             "seq_log": "on" if sequential_log else "off",
             "switch": ssc.stats.switch_merges,

@@ -6,7 +6,7 @@ static (cold-block relocation) leveling versus none, with the write
 overhead each adds.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.ftl.wear import WearConfig
@@ -14,7 +14,6 @@ from repro.manager.writethrough import FlashTierWTManager
 from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import WARMUP_FRACTION, get_trace, once, system_config
 
@@ -39,8 +38,8 @@ def run_sweep():
                              wear=wear),
         )
         manager = FlashTierWTManager(ssc, Disk(config.disk_blocks))
-        stats = replay_trace(manager, trace.records,
-                             warmup_fraction=WARMUP_FRACTION)
+        stats = ReplayEngine(manager).run(trace.records,
+                                         warmup_fraction=WARMUP_FRACTION)
         rows.append({
             "policy": label,
             "wear_diff": ssc.chip.wear_differential(),

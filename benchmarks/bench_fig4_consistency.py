@@ -10,14 +10,13 @@ Expected shape: on write-heavy homes/mail the native system loses
 read-heavy usr/proj every system loses <= ~7 %.
 """
 
-from repro import CacheMode, SystemKind
+from repro import CacheMode, ReplayEngine, SystemKind
 from repro.ssc.device import SSCConfig, SolidStateCache
 from repro.ssc.engine import EvictionPolicy
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.manager.writeback import FlashTierWBManager
 from repro.stats.report import format_table
-from repro.traces.replay import replay_trace
 
 from benchmarks.common import (
     WARMUP_FRACTION,
@@ -43,8 +42,8 @@ def flashtier_variant(trace, clean_durability, consistency=True):
     )
     disk = Disk(config.disk_blocks)
     manager = FlashTierWBManager(ssc, disk)
-    return replay_trace(
-        manager, trace.records, warmup_fraction=WARMUP_FRACTION
+    return ReplayEngine(manager).run(
+        trace.records, warmup_fraction=WARMUP_FRACTION
     ).iops()
 
 

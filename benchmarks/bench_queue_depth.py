@@ -1,8 +1,8 @@
 """Queue-depth scaling — the event-driven engine's headline result.
 
-The legacy serial replay loop keeps one request in flight, so IOPS is
-capped at 1/mean-latency regardless of device parallelism.  The
-event-driven :class:`~repro.engine.ReplayEngine` overlaps requests on
+Serial replay (queue depth 1) keeps one request in flight, so IOPS is
+capped at 1/mean-latency regardless of device parallelism.  Deeper
+queues in the :class:`~repro.engine.ReplayEngine` overlap requests on
 distinct flash planes while same-plane requests (and the single disk
 spindle) queue.  Expected shape on a read-heavy, cache-resident
 workload: IOPS grows with queue depth until the planes (or the disk,

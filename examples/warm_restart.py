@@ -14,13 +14,12 @@ and shows the NVRAM configuration where consistency costs nothing.
 Run:  python examples/warm_restart.py
 """
 
-from repro import CacheMode, SystemConfig, SystemKind, build_system
+from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
 from repro.ssc.device import SSCConfig, SolidStateCache
 from repro.core.flashtier import cache_geometry
 from repro.disk.model import Disk
 from repro.manager.writethrough import FlashTierWTManager
 from repro.traces import USR, generate_trace
-from repro.traces.replay import replay_trace
 
 
 def main() -> None:
@@ -65,7 +64,7 @@ def main() -> None:
     geometry = cache_geometry(config)
     nvram = SolidStateCache(geometry, config=SSCConfig(nvram=True))
     nvram_manager = FlashTierWTManager(nvram, Disk(config.disk_blocks))
-    nvram_stats = replay_trace(nvram_manager, trace.records)
+    nvram_stats = ReplayEngine(nvram_manager).run(trace.records)
     flash_logged = warm_stats.iops()
     print(f"\nNVRAM-backed log: {nvram_stats.iops():,.0f} IOPS on the cold "
           f"replay vs {flash_logged:,.0f} with flash logging")

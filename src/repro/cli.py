@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
+from repro.errors import ReproError
 from repro.stats.report import format_table
 from repro.traces.analyze import analyze
 from repro.traces.filefmt import read_trace, write_trace
@@ -28,6 +29,28 @@ from repro.traces.fiu import read_fiu_trace
 from repro.traces.msr import read_msr_trace
 from repro.traces.record import TraceRecord
 from repro.traces.synthetic import PROFILES, generate_trace
+
+
+def _queue_depth(text: str) -> int:
+    """argparse type of ``--queue-depth``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _warmup_fraction(text: str) -> float:
+    """argparse type of ``--warmup``: a fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -144,7 +167,11 @@ def cmd_analyze(args) -> int:
 def cmd_replay(args) -> int:
     records = _load_records(args)
     kind = SystemKind(args.system)
-    system = build_system(_system_config(args, kind, records))
+    try:
+        system = build_system(_system_config(args, kind, records))
+    except (ReproError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     # Observability is opt-in: without these flags no tracer is
     # attached and the replay runs the zero-cost default path.
@@ -162,13 +189,19 @@ def cmd_replay(args) -> int:
         tracer = Tracer(*sinks)
         instrument_system(system, tracer)
 
-    stats = system.replay(
-        records,
-        warmup_fraction=args.warmup,
-        queue_depth=args.queue_depth,
-        open_loop=args.open_loop,
-        keep_latencies=bool(args.metrics),
-    )
+    try:
+        stats = system.replay(
+            records,
+            warmup_fraction=args.warmup,
+            queue_depth=args.queue_depth,
+            open_loop=args.open_loop,
+            keep_latencies=bool(args.metrics),
+        )
+    except (ReproError, ValueError) as exc:
+        if tracer is not None:
+            tracer.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if tracer is not None:
         from repro.obs import write_chrome_trace
@@ -441,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--mode", choices=[mode.value for mode in CacheMode], default="wb"
     )
-    replay.add_argument("--warmup", type=float, default=0.15)
+    replay.add_argument("--warmup", type=_warmup_fraction, default=0.15)
     replay.add_argument("--no-consistency", action="store_true")
     replay.add_argument(
-        "--queue-depth", type=int, default=1,
+        "--queue-depth", type=_queue_depth, default=1,
         help="outstanding requests in closed-loop replay (default 1)",
     )
     replay.add_argument(

@@ -12,6 +12,7 @@ from typing import Optional, Sequence, Union
 
 from repro.core.config import CacheMode, SystemConfig, SystemKind
 from repro.disk.model import Disk
+from repro.engine import ReplayEngine
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.ssd import SSD
@@ -23,7 +24,6 @@ from repro.ssc.device import SolidStateCache, SSCConfig
 from repro.ssc.engine import EvictionPolicy
 from repro.stats.counters import ReplayStats
 from repro.traces.record import TraceRecord
-from repro.traces.replay import replay_trace
 
 
 def cache_geometry(config: SystemConfig, shard_count: int = 1) -> FlashGeometry:
@@ -80,22 +80,11 @@ class FlashTierSystem:
     ) -> ReplayStats:
         """Replay ``trace`` through this system's manager.
 
-        ``queue_depth`` > 1 keeps that many requests outstanding
-        (closed loop); ``open_loop=True`` instead dispatches at each
-        record's ``arrival_us``.  Both run through the event-driven
-        :class:`~repro.engine.ReplayEngine`; the default serial path is
-        the legacy one-at-a-time loop, which the engine reproduces
-        bit-for-bit at ``queue_depth=1``.
+        Runs the :class:`~repro.engine.ReplayEngine`: closed loop with
+        ``queue_depth`` requests outstanding (the default of 1 is the
+        paper's serial replay), or, with ``open_loop=True``, dispatching
+        at each record's ``arrival_us``.
         """
-        if queue_depth == 1 and not open_loop:
-            return replay_trace(
-                self.manager,
-                trace,
-                warmup_fraction=warmup_fraction,
-                keep_latencies=keep_latencies,
-            )
-        from repro.engine import ReplayEngine
-
         engine = ReplayEngine(self.manager, queue_depth=queue_depth)
         return engine.run(
             trace,

@@ -14,9 +14,8 @@ partitions the disk LBN space across ``N`` member devices:
   64-bit mix of its number.
 * :class:`ShardedSSC` fans the six-operation SSC interface out to the
   owning shard and aggregates statistics via the stats classes'
-  ``merge()``.  Recovery runs the shards concurrently through the
-  event scheduler, so array recovery time is the *max* over shards,
-  not the sum.
+  ``merge()``.  Recovery runs the shards concurrently, so array
+  recovery time is the *max* over shards, not the sum.
 * :class:`ShardedSSD` does the same for the native baseline's dense
   logical space, striping pages round-robin (``lpn % N``) so the
   manager's set-associative layout spreads evenly.
@@ -43,9 +42,7 @@ from repro.errors import ConfigError, CrashError
 from repro.ftl.base import FTLStats
 from repro.ftl.ssd import SSD
 from repro.flash.chip import FlashStats
-from repro.sim.completion import is_plane_resource, parse_shard_resource
 from repro.sim.crash import CrashInjector
-from repro.sim.events import EventScheduler
 from repro.ssc.device import SolidStateCache
 
 _MASK = (1 << 64) - 1
@@ -107,39 +104,39 @@ class _ShardedChipView:
     """The array's chips presented as one chip-like object.
 
     Cache managers attach their op recorder to ``device.chip`` and the
-    replay engine resolves plane resource keys and busy timelines
-    through it; this view fans both out across the member chips.
+    replay engine collects the member planes from :attr:`chips`; this
+    view fans the recorder out across the member chips.
     """
 
     def __init__(self, chips: Sequence[Any]):
-        self._chips = list(chips)
+        self.chips = list(chips)
 
     # -- identity-ish attributes (homogeneous array: shard 0 speaks) ---
 
     @property
     def geometry(self):
-        return self._chips[0].geometry
+        return self.chips[0].geometry
 
     @property
     def timing(self):
-        return self._chips[0].timing
+        return self.chips[0].timing
 
     @property
     def planes(self):
         """Shard 0's planes — resolves unsharded ``plane:<n>`` keys,
         which only occur when the array has a single member (whose
         chip keeps the unsharded key names)."""
-        return self._chips[0].planes
+        return self.chips[0].planes
 
     # -- recorder fan-out ----------------------------------------------
 
     @property
     def op_recorder(self):
-        return self._chips[0].op_recorder
+        return self.chips[0].op_recorder
 
     @op_recorder.setter
     def op_recorder(self, recorder) -> None:
-        for chip in self._chips:
+        for chip in self.chips:
             chip.op_recorder = recorder
 
     # -- aggregation ---------------------------------------------------
@@ -147,46 +144,28 @@ class _ShardedChipView:
     @property
     def stats(self) -> FlashStats:
         merged = FlashStats()
-        for chip in self._chips:
+        for chip in self.chips:
             merged = merged.merge(chip.stats)
         return merged
 
     def total_erases(self) -> int:
-        return sum(chip.total_erases() for chip in self._chips)
+        return sum(chip.total_erases() for chip in self.chips)
 
     def wear_differential(self) -> int:
         """Max minus min per-block erase count across the whole array."""
         counts = [
             block.erase_count
-            for chip in self._chips
+            for chip in self.chips
             for plane in chip.planes
             for block in plane.blocks.values()
         ]
         return max(counts) - min(counts) if counts else 0
 
     def free_blocks_total(self) -> int:
-        return sum(chip.free_blocks_total() for chip in self._chips)
-
-    # -- replay-engine hooks -------------------------------------------
-
-    def reset_availability(self) -> None:
-        for chip in self._chips:
-            chip.reset_availability()
-
-    def plane_for_resource(self, key: str):
-        """Resolve an ``"s<k>:plane:<n>"`` key to the member plane."""
-        parsed = parse_shard_resource(key)
-        if parsed is None:
-            return None
-        shard_id, rest = parsed
-        if shard_id >= len(self._chips) or not is_plane_resource(rest):
-            return None
-        planes = self._chips[shard_id].planes
-        plane_id = int(rest.split(":", 1)[1])
-        return planes[plane_id] if plane_id < len(planes) else None
+        return sum(chip.free_blocks_total() for chip in self.chips)
 
     def __repr__(self) -> str:
-        return f"_ShardedChipView(chips={len(self._chips)})"
+        return f"_ShardedChipView(chips={len(self.chips)})"
 
 
 class _ShardedEngineView:
@@ -448,9 +427,8 @@ class ShardedSSC:
         """Recover every member; returns the array recovery time.
 
         Each shard's roll-forward is independent, so the array recovers
-        them concurrently: each shard's cost is scheduled at t=0 on the
-        event scheduler and the array is ready when the last completion
-        fires — ``max`` over shards, not the sum.  ``parallel=False``
+        them concurrently, all starting at t=0: the array is ready when
+        the slowest shard is — ``max`` over shards, not the sum.  ``parallel=False``
         models one controller recovering members back-to-back (the
         ``sum``), kept for the scaling comparison.  Per-shard costs are
         stored in :attr:`last_recovery_costs` either way.
@@ -461,11 +439,7 @@ class ShardedSSC:
         self.last_recovery_costs = costs
         if not parallel:
             return sum(costs)
-        scheduler = EventScheduler()
-        for cost in costs:
-            scheduler.schedule_at(cost)
-        scheduler.run_until_idle()
-        return scheduler.clock.now_us
+        return max(costs)
 
     def __repr__(self) -> str:
         return (

@@ -1,13 +1,14 @@
-"""Event-driven trace replay: queue-depth concurrency over planes.
+"""Trace replay: the one loop that drives a cache manager with a trace.
 
-The legacy :func:`~repro.traces.replay.replay_trace` loop is strictly
-serial — one request in flight, IOPS capped at 1/mean-latency no matter
-how many flash planes the device has.  The :class:`ReplayEngine` drives
-the same cache manager but models *concurrent* requests:
+Reported IOPS is requests per second of *simulated* time, mirroring the
+paper's trace-replay framework (§5).  The :class:`ReplayEngine` keeps
+requests in flight in one of two ways:
 
 * **Closed loop** — a fixed number of requests (``queue_depth``) is
   kept outstanding; each completion immediately dispatches the next
-  trace record, like a benchmark thread pool.
+  trace record, like a benchmark thread pool.  At ``queue_depth=1``
+  this is the paper's serial replay: one request at a time, each
+  starting when its predecessor finishes.
 * **Open loop** — requests dispatch at their recorded
   ``arrival_us`` timestamps regardless of completions, like replaying
   a production trace against a faster device.
@@ -22,99 +23,77 @@ delays, log commits, checkpoints) stays serial within its request.
 
 Functional device state still mutates in trace order at dispatch time
 (the hit/miss sequence is identical at every queue depth); concurrency
-changes *when* the time is charged, not *what* happens.  At
-``queue_depth=1`` the engine reproduces the serial replay loop's
-results bit-for-bit: with one request outstanding nothing can queue,
-so each request starts exactly when its predecessor finishes.
+changes *when* the time is charged, not *what* happens.
+
+Warm-up follows §6.5: "To warm the cache, we replay the first 15 % of
+the trace before gathering statistics."
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+import heapq
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.manager.base import CacheManager
-from repro.sim.clock import SimClock
-from repro.sim.completion import Completion, is_plane_resource
-from repro.sim.events import EventScheduler
+from repro.sim.completion import DISK_RESOURCE, Completion
 from repro.stats.counters import LatencyStats, ReplayStats
 from repro.traces.record import TraceRecord
-from repro.traces.replay import _issue, _trace_request
 
 
-class _FallbackResource:
-    """Availability timeline for a resource the engine cannot map onto
-    a device object (forward compatibility with new resource keys)."""
+def _resource_table(manager: CacheManager) -> Dict[str, Any]:
+    """Every resource key the manager's devices emit, mapped to the
+    object owning its availability timeline: each flash plane (of every
+    member chip, for an array) and the disk."""
+    device = getattr(manager, "ssc", None)
+    if device is None:
+        device = manager.ssd
+    chip = device.chip
+    table: Dict[str, Any] = {
+        plane.resource_key: plane
+        for member in getattr(chip, "chips", (chip,))
+        for plane in member.planes
+    }
+    table[DISK_RESOURCE] = manager.disk
+    return table
 
-    __slots__ = ("busy_until_us",)
 
-    def __init__(self):
-        self.busy_until_us = 0.0
+def _issue(manager: CacheManager, record: TraceRecord) -> Completion:
+    if record.is_write:
+        return manager.write(record.lbn, ("w", record.lbn))
+    _data, completion = manager.read(record.lbn)
+    return completion
 
-    def reserve(self, start_us: float, duration_us: float):
-        start = start_us if start_us >= self.busy_until_us else self.busy_until_us
-        finish = start + duration_us
-        self.busy_until_us = finish
-        return start, finish
 
-    def reset_busy(self) -> None:
-        self.busy_until_us = 0.0
+def _trace_warmup_request(tracer, record: TraceRecord,
+                          completion: Completion) -> None:
+    """Emit a warm-up request's op.issue slice plus its op.device
+    slices, laid back-to-back from the tracer's current time."""
+    issue_ts = tracer.now_us
+    tracer.emit(
+        "op.issue", lane="requests", ts_us=issue_ts,
+        dur_us=float(completion),
+        kind="write" if record.is_write else "read",
+        lbn=record.lbn, hit=completion.hit, queue_wait_us=0.0,
+    )
+    cursor = issue_ts
+    for op in completion.ops:
+        tracer.emit(
+            "op.device", lane=op.resource, ts_us=cursor,
+            dur_us=op.duration_us, kind=op.kind,
+        )
+        cursor += op.duration_us
 
 
 class ReplayEngine:
     """Replays traces through a manager at a configurable queue depth."""
 
-    def __init__(
-        self,
-        manager: CacheManager,
-        queue_depth: int = 1,
-        clock: Optional[SimClock] = None,
-    ):
+    def __init__(self, manager: CacheManager, queue_depth: int = 1):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         self.manager = manager
         self.queue_depth = queue_depth
-        self.clock = clock or SimClock()
-        self._chip = self._find_chip(manager)
-        self._disk = getattr(manager, "disk", None)
-        self._resources: Dict[str, Any] = {}
-
-    @staticmethod
-    def _find_chip(manager: CacheManager):
-        for attr in ("ssc", "ssd"):
-            device = getattr(manager, attr, None)
-            if device is not None and hasattr(device, "chip"):
-                return device.chip
-        return None
-
-    def _resource(self, key: str):
-        """Map a resource key to its availability timeline."""
-        resource = self._resources.get(key)
-        if resource is not None:
-            return resource
-        if key == "disk" and self._disk is not None:
-            resource = self._disk
-        elif is_plane_resource(key) and self._chip is not None:
-            plane_id = int(key.split(":", 1)[1])
-            planes = self._chip.planes
-            resource = planes[plane_id] if plane_id < len(planes) else _FallbackResource()
-        else:
-            # Sharded arrays re-key their planes as "s<k>:plane:<n>" and
-            # expose plane_for_resource on the chip view to resolve them.
-            resolver = getattr(self._chip, "plane_for_resource", None)
-            plane = resolver(key) if resolver is not None else None
-            resource = plane if plane is not None else _FallbackResource()
-        self._resources[key] = resource
-        return resource
-
-    def _reset_availability(self) -> None:
-        """Start a measurement epoch with every resource idle."""
-        if self._chip is not None:
-            self._chip.reset_availability()
-        if self._disk is not None and hasattr(self._disk, "reset_busy"):
-            self._disk.reset_busy()
-        for resource in self._resources.values():
-            if isinstance(resource, _FallbackResource):
-                resource.reset_busy()
+        #: Resource key -> object with ``reserve``/``reset_busy``.
+        self.resources = _resource_table(manager)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -135,15 +114,15 @@ class ReplayEngine:
         resources; untraced service time (controller/log overhead) is
         serial within the request and never waits.  With a ``tracer``
         attached, each operation's op.device slice is emitted at the
-        time it actually ran (its resource reservation).
+        time it actually ran (its resource reservation).  A resource
+        key missing from :attr:`resources` raises ``KeyError``.
         """
         busy = stats.device_busy_us
         if serial:
             # One outstanding request: every resource is idle at
-            # dispatch by construction, so the request runs exactly as
-            # in serial replay — finish is computed from the total
-            # service time alone, which is what makes queue_depth=1
-            # reproduce replay_trace() bit-for-bit.
+            # dispatch by construction, so the finish is computed from
+            # the total service time alone — simulated time is exactly
+            # the running sum of service times.
             cursor = at_us
             for resource_key, kind, duration_us in completion.ops:
                 busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
@@ -156,12 +135,9 @@ class ReplayEngine:
             return 0.0, at_us + float(completion)
         wait_us = 0.0
         cursor = at_us
-        resources = self._resources
+        resources = self.resources
         for resource_key, kind, duration_us in completion.ops:
-            resource = resources.get(resource_key)
-            if resource is None:
-                resource = self._resource(resource_key)
-            start, finish = resource.reserve(cursor, duration_us)
+            start, finish = resources[resource_key].reserve(cursor, duration_us)
             wait_us += start - cursor
             cursor = finish
             busy[resource_key] = busy.get(resource_key, 0.0) + duration_us
@@ -189,69 +165,71 @@ class ReplayEngine:
         without timing.  In closed-loop mode (default) ``queue_depth``
         requests are kept outstanding; with ``open_loop=True`` every
         measured record must carry an ``arrival_us`` timestamp and is
-        dispatched at its recorded arrival instead.
+        dispatched at its recorded arrival instead.  Both inputs are
+        validated before any request reaches the manager.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         warmup_ops = int(len(trace) * warmup_fraction)
-
-        stats = ReplayStats(
-            queue_depth=self.queue_depth,
-            latency=LatencyStats(keep_samples=keep_latencies),
-        )
-        scheduler = EventScheduler(self.clock)
-        hits_before = self.manager.stats.read_hits
-        misses_before = self.manager.stats.read_misses
-        start_us = self.clock.now_us
-        tracer = self.manager.tracer  # None unless instrumented
-        arrival_origin: Optional[float] = None
-        dispatch_us = start_us
-        end_us = start_us
-
-        for index, record in enumerate(trace):
-            if index == warmup_ops:
-                # Measurement starts here: warm-up consumed no simulated
-                # time, every resource timeline starts idle.
-                self._reset_availability()
-                hits_before = self.manager.stats.read_hits
-                misses_before = self.manager.stats.read_misses
-                start_us = self.clock.now_us
-                dispatch_us = start_us
-            if index < warmup_ops:
-                completion = _issue(self.manager, record)
-                if tracer is not None:
-                    _trace_request(tracer, record, completion,
-                                   queue_wait_us=0.0)
-                continue
-
-            dispatch_wait_us = 0.0
-            if open_loop:
-                if record.arrival_us is None:
+        if open_loop:
+            for index in range(warmup_ops, len(trace)):
+                if trace[index].arrival_us is None:
                     raise ValueError(
                         "open-loop replay requires arrival_us on every "
                         f"measured record (record {index} has none)"
                     )
+
+        manager = self.manager
+        stats = ReplayStats(
+            queue_depth=self.queue_depth,
+            latency=LatencyStats(keep_samples=keep_latencies),
+        )
+        serial = not open_loop and self.queue_depth == 1
+        tracer = manager.tracer  # None unless instrumented
+        hits_before = manager.stats.read_hits
+        misses_before = manager.stats.read_misses
+        # Simulated time starts at zero when measurement begins (warm-up
+        # consumes none).  In closed loop, ``outstanding`` is a min-heap
+        # of the finish times of the requests in flight.
+        outstanding: List[float] = []
+        arrival_origin: Optional[float] = None
+        dispatch_us = 0.0
+        end_us = 0.0
+
+        for index, record in enumerate(trace):
+            if index == warmup_ops:
+                # Measurement starts here, with every resource idle.
+                for resource in self.resources.values():
+                    resource.reset_busy()
+                hits_before = manager.stats.read_hits
+                misses_before = manager.stats.read_misses
+            if index < warmup_ops:
+                completion = _issue(manager, record)
+                if tracer is not None:
+                    _trace_warmup_request(tracer, record, completion)
+                continue
+
+            dispatch_wait_us = 0.0
+            if open_loop:
                 if arrival_origin is None:
                     arrival_origin = record.arrival_us
-                arrival = start_us + (record.arrival_us - arrival_origin)
+                arrival = record.arrival_us - arrival_origin
                 # Records dispatch in trace order; a late predecessor
                 # delays this request past its arrival.
                 dispatch_us = max(dispatch_us, arrival)
                 dispatch_wait_us = dispatch_us - arrival
-            elif len(scheduler) >= self.queue_depth:
-                freed = scheduler.pop()
-                dispatch_us = max(dispatch_us, freed.time_us)
+            elif len(outstanding) >= self.queue_depth:
+                dispatch_us = max(dispatch_us, heapq.heappop(outstanding))
 
             if tracer is not None:
                 tracer.advance_to(dispatch_us)
-            completion = _issue(self.manager, record)
+            completion = _issue(manager, record)
             wait_us, finish_us = self._execute(
-                completion, dispatch_us, stats,
-                serial=not open_loop and self.queue_depth == 1,
-                tracer=tracer,
+                completion, dispatch_us, stats, serial=serial, tracer=tracer,
             )
             wait_us += dispatch_wait_us
-            scheduler.schedule_at(max(finish_us, self.clock.now_us))
+            if not open_loop:
+                heapq.heappush(outstanding, finish_us)
             if finish_us > end_us:
                 end_us = finish_us
 
@@ -273,13 +251,8 @@ class ReplayEngine:
                     queue_wait_us=wait_us,
                 )
 
-        # Drain: run simulated time forward to the last completion.
-        while scheduler:
-            scheduler.pop()
-        if end_us > self.clock.now_us:
-            self.clock.advance_to(end_us)
-
-        stats.elapsed_us = self.clock.now_us - start_us
-        stats.read_hits = self.manager.stats.read_hits - hits_before
-        stats.read_misses = self.manager.stats.read_misses - misses_before
+        # The run ends when the last outstanding request completes.
+        stats.elapsed_us = end_us
+        stats.read_hits = manager.stats.read_hits - hits_before
+        stats.read_misses = manager.stats.read_misses - misses_before
         return stats

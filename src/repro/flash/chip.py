@@ -143,13 +143,6 @@ class FlashChip:
         for plane, key in zip(self.planes, self._plane_keys):
             plane.resource_key = key
 
-    # ---- availability ------------------------------------------------------
-
-    def reset_availability(self) -> None:
-        """Zero every plane's busy-until time (new measurement epoch)."""
-        for plane in self.planes:
-            plane.reset_busy()
-
     # ---- timed operations -------------------------------------------------
 
     def read_page(self, ppn: int) -> Tuple[Any, Optional[OOBData], float]:

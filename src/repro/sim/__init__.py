@@ -1,6 +1,5 @@
-"""Simulation kernel: simulated time, events, completions, crash injection."""
+"""Simulation kernel: completions and crash injection."""
 
-from repro.sim.clock import SimClock
 from repro.sim.completion import (
     DISK_RESOURCE,
     Completion,
@@ -10,12 +9,8 @@ from repro.sim.completion import (
     plane_resource,
 )
 from repro.sim.crash import CrashPoint, CrashInjector
-from repro.sim.events import Event, EventScheduler
 
 __all__ = [
-    "SimClock",
-    "Event",
-    "EventScheduler",
     "Completion",
     "DeviceOp",
     "OpRecorder",

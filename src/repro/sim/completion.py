@@ -74,20 +74,6 @@ def shard_plane_resource(shard_id: int, plane_id: int) -> str:
     return key
 
 
-def parse_shard_resource(resource: str) -> Optional[Tuple[int, str]]:
-    """Split a shard-namespaced key into ``(shard_id, base_resource)``.
-
-    ``"s2:plane:0"`` -> ``(2, "plane:0")``; returns None for keys that
-    carry no shard namespace (``"plane:0"``, ``"disk"``).
-    """
-    if not resource.startswith("s"):
-        return None
-    head, sep, rest = resource.partition(":")
-    if not sep or not head[1:].isdigit():
-        return None
-    return int(head[1:]), rest
-
-
 class DeviceOp(NamedTuple):
     """One timed device operation attributed to one contended resource."""
 

@@ -114,12 +114,6 @@ class ReplayStats:
             return 0.0
         return 100.0 * self.read_misses / lookups
 
-    def add_busy(self, resource: str, duration_us: float) -> None:
-        """Charge ``duration_us`` of busy time to ``resource``."""
-        self.device_busy_us[resource] = (
-            self.device_busy_us.get(resource, 0.0) + duration_us
-        )
-
     def utilization(self) -> Dict[str, float]:
         """Fraction of the measured interval each resource was busy."""
         if self.elapsed_us <= 0:

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _queue_depth, _warmup_fraction, main
 from repro.traces.filefmt import read_trace
 
 
@@ -112,6 +114,51 @@ class TestErrors:
         path = tmp_path / "empty.trace"
         path.write_text("# nothing\n")
         assert main(["analyze", "--trace", str(path)]) == 1
+
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--queue-depth", "0"], 2, "argument --queue-depth: must be >= 1"),
+        (["--warmup", "1.5"], 2, "argument --warmup: must be in [0, 1)"),
+        (["--scale", "0.01"], 1, "error: chip too small"),
+        (["--scale", "0.05", "--open-loop"], 1,
+         "error: open-loop replay requires arrival_us"),
+    ])
+    def test_bad_replay_option_is_one_error_line(self, flags, code, message,
+                                                  capsys):
+        # Bad options exit 2 from argparse; a config or trace the replay
+        # cannot run exits 1.  Neither prints a traceback.
+        try:
+            result = main(["replay", "--workload", "homes", *flags])
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        assert result == code
+        assert message in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+        assert "IOPS" not in captured.out
+
+
+class TestReplayOptionTypes:
+    """The argparse types that validate ``--queue-depth`` and ``--warmup``."""
+
+    @pytest.mark.parametrize("text,value", [("1", 1), ("32", 32)])
+    def test_queue_depth_accepts_positive_integers(self, text, value):
+        assert _queue_depth(text) == value
+
+    @pytest.mark.parametrize("text", ["0", "-4", "two", "1.5"])
+    def test_queue_depth_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _queue_depth(text)
+
+    @pytest.mark.parametrize("text,value", [
+        ("0", 0.0), ("0.15", 0.15), ("0.999", 0.999),
+    ])
+    def test_warmup_accepts_fractions_below_one(self, text, value):
+        assert _warmup_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["1", "-0.1", "nan", "most"])
+    def test_warmup_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _warmup_fraction(text)
 
 
 class TestObservabilityCli:

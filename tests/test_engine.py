@@ -1,20 +1,20 @@
-"""Event-driven replay engine: equivalence, concurrency, open loop.
+"""Event-driven replay engine: concurrency, open loop, plumbing.
 
-The load-bearing guarantee is serial equivalence: at ``queue_depth=1``
-the engine must reproduce the legacy one-request-at-a-time replay loop
-bit-for-bit — same IOPS, same miss rate, same per-request latencies.
-Concurrency then has to pay off (higher queue depth → higher IOPS on a
-plane-parallel, cache-resident workload), and open-loop replay must
-dispatch from record arrival timestamps.
+Serial equivalence at ``queue_depth=1`` is locked by
+``test_replay_differential.py``.  Here concurrency has to pay off
+(higher queue depth → higher IOPS on a plane-parallel, cache-resident
+workload), and open-loop replay must dispatch from record arrival
+timestamps.
 """
+
+from copy import deepcopy
 
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.sim.completion import Completion
-from repro.stats.counters import LatencyStats
+from repro.sim.completion import Completion, DeviceOp
+from repro.stats.counters import LatencyStats, ReplayStats
 from repro.traces.record import OpKind, TraceRecord
-from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, USR, generate_trace
 
 
@@ -39,39 +39,7 @@ def _trace(profile=HOMES, scale=0.03, seed=7, **overrides):
 
 
 class TestSerialEquivalence:
-    """queue_depth=1 must be indistinguishable from replay_trace()."""
-
-    @pytest.mark.parametrize(
-        "kind,mode",
-        [
-            (SystemKind.SSC_R, CacheMode.WRITE_BACK),
-            (SystemKind.SSC, CacheMode.WRITE_THROUGH),
-            (SystemKind.NATIVE, CacheMode.WRITE_BACK),
-        ],
-    )
-    def test_qd1_bit_for_bit(self, kind, mode):
-        records = _trace()
-        legacy_system = _build(kind, mode)
-        legacy = replay_trace(
-            legacy_system.manager,
-            records,
-            warmup_fraction=0.15,
-            keep_latencies=True,
-        )
-        engine_system = _build(kind, mode)
-        engine = ReplayEngine(engine_system.manager, queue_depth=1)
-        event = engine.run(records, warmup_fraction=0.15, keep_latencies=True)
-
-        assert event.ops == legacy.ops
-        assert event.elapsed_us == legacy.elapsed_us
-        assert event.iops() == legacy.iops()
-        assert event.miss_rate() == legacy.miss_rate()
-        assert event.read_hits == legacy.read_hits
-        assert event.read_misses == legacy.read_misses
-        assert event.latency.samples == legacy.latency.samples
-        assert event.latency.max_us == legacy.latency.max_us
-        assert event.queue_wait.max_us == 0.0
-        assert event.device_busy_us == legacy.device_busy_us
+    """QD=1 through the facade agrees functionally with deeper queues."""
 
     def test_facade_routes_queue_depth(self):
         records = _trace(scale=0.02)
@@ -160,6 +128,20 @@ class TestOpenLoop:
         with pytest.raises(ValueError, match="arrival_us"):
             ReplayEngine(system.manager).run(records, open_loop=True)
 
+    def test_missing_arrival_rejected_before_any_request(self):
+        # Warm-up records need no arrival time, but a measured record
+        # without one must be caught before the warm-up mutates the cache.
+        records = [TraceRecord(OpKind.WRITE, lbn) for lbn in range(100)]
+        system = _build()
+        manager_before = deepcopy(system.manager.stats)
+        device_before = deepcopy(system.device_stats)
+        with pytest.raises(ValueError, match="record 50 has none"):
+            ReplayEngine(system.manager).run(
+                records, warmup_fraction=0.5, open_loop=True
+            )
+        assert system.manager.stats == manager_before
+        assert system.device_stats == device_before
+
     def test_synthetic_arrival_process(self):
         records = _trace(HOMES, scale=0.02, arrival_rate_iops=20_000.0)
         assert all(record.arrival_us is not None for record in records)
@@ -176,6 +158,55 @@ class TestOpenLoop:
         timed = _trace(HOMES, scale=0.02, arrival_rate_iops=20_000.0)
         assert [(r.op, r.lbn) for r in plain] == [(r.op, r.lbn) for r in timed]
         assert all(record.arrival_us is None for record in plain)
+
+
+class TestResourceTable:
+    """The engine's one table of contended resources, built up front."""
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_every_plane_and_the_disk(self, kind):
+        system = _build(kind=kind)
+        device = system.ssd if system.ssd is not None else system.ssc
+        planes = device.chip.planes
+        table = ReplayEngine(system.manager).resources
+        assert len(table) == len(planes) + 1
+        assert all(table[plane.resource_key] is plane for plane in planes)
+        assert table["disk"] is system.disk
+
+    def test_unknown_key_raises(self):
+        system = _build()
+        engine = ReplayEngine(system.manager, queue_depth=8)
+        stray = Completion(1.0, (DeviceOp("plane:99", "page_read", 1.0),))
+        with pytest.raises(KeyError, match="plane:99"):
+            engine._execute(stray, 0.0, ReplayStats(), serial=False)
+
+    @pytest.mark.parametrize("warmup", [0.0, 0.15])
+    def test_measurement_starts_with_every_resource_idle(self, warmup):
+        # Stale availability from before the run must not delay the
+        # first measured request: the reset walks the whole table.
+        system = _build()
+        engine = ReplayEngine(system.manager, queue_depth=8)
+        stale_us = 1e12
+        for resource in engine.resources.values():
+            resource.busy_until_us = stale_us
+        stats = engine.run(_trace(scale=0.02), warmup_fraction=warmup)
+        assert stats.ops > 0
+        assert stats.elapsed_us < stale_us
+        assert stats.queue_wait.max_us < stale_us
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_bad_warmup_rejected_before_any_request(self, fraction):
+        system = _build()
+        manager_before = deepcopy(system.manager.stats)
+        device_before = deepcopy(system.device_stats)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            ReplayEngine(system.manager).run(
+                _trace(scale=0.02), warmup_fraction=fraction
+            )
+        assert system.manager.stats == manager_before
+        assert system.device_stats == device_before
 
 
 class TestCompletionPlumbing:

@@ -1,84 +1,8 @@
-"""Event scheduler and structured-completion unit tests."""
+"""Structured-completion unit tests: op recorder and completions."""
 
 import pytest
 
-from repro.sim import (
-    Completion,
-    DeviceOp,
-    EventScheduler,
-    OpRecorder,
-    SimClock,
-    plane_resource,
-)
-
-
-class TestSimClock:
-    def test_advance_to_moves_forward(self):
-        clock = SimClock()
-        assert clock.advance_to(25.0) == 25.0
-        assert clock.now_us == 25.0
-
-    def test_advance_to_rejects_backwards(self):
-        clock = SimClock(start_us=10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-
-
-class TestEventScheduler:
-    def test_pops_in_time_order_and_advances_clock(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(30.0, "late")
-        scheduler.schedule_at(10.0, "early")
-        scheduler.schedule_at(20.0, "middle")
-        assert [scheduler.pop().payload for _ in range(3)] == [
-            "early", "middle", "late",
-        ]
-        assert scheduler.clock.now_us == 30.0
-
-    def test_ties_break_by_schedule_order(self):
-        scheduler = EventScheduler()
-        scheduler.schedule_at(5.0, "first")
-        scheduler.schedule_at(5.0, "second")
-        assert scheduler.pop().payload == "first"
-        assert scheduler.pop().payload == "second"
-
-    def test_rejects_past_times(self):
-        scheduler = EventScheduler(SimClock(start_us=100.0))
-        with pytest.raises(ValueError):
-            scheduler.schedule_at(99.0)
-        with pytest.raises(ValueError):
-            scheduler.schedule_in(-1.0)
-
-    def test_schedule_in_is_relative(self):
-        scheduler = EventScheduler(SimClock(start_us=40.0))
-        event = scheduler.schedule_in(10.0)
-        assert event.time_us == 50.0
-
-    def test_cancelled_events_are_skipped(self):
-        scheduler = EventScheduler()
-        doomed = scheduler.schedule_at(1.0, "doomed")
-        scheduler.schedule_at(2.0, "kept")
-        scheduler.cancel(doomed)
-        assert len(scheduler) == 1
-        assert scheduler.peek_time_us() == 2.0
-        assert scheduler.pop().payload == "kept"
-
-    def test_pop_when_idle_raises(self):
-        with pytest.raises(IndexError):
-            EventScheduler().pop()
-
-    def test_run_until_idle_invokes_callables(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule_at(1.0, lambda event: seen.append(event.time_us))
-
-        def chain(event):
-            seen.append(event.time_us)
-            scheduler.schedule_in(5.0, lambda e: seen.append(e.time_us))
-
-        scheduler.schedule_at(2.0, chain)
-        assert scheduler.run_until_idle() == 3
-        assert seen == [1.0, 2.0, 7.0]
+from repro.sim import Completion, DeviceOp, OpRecorder, plane_resource
 
 
 class TestOpRecorder:

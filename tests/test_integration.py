@@ -12,7 +12,6 @@ import pytest
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.traces import HOMES, MAIL, generate_trace
 from repro.traces.record import OpKind, TraceRecord
-from repro.traces.replay import replay_trace
 
 
 def tiny(kind, mode, consistency=True):
@@ -138,7 +137,7 @@ class TestTraceDrivenParity:
     def test_replay_with_latency_percentiles(self):
         system = tiny(SystemKind.SSC_R, CacheMode.WRITE_BACK)
         trace = generate_trace(HOMES.scaled(0.02), seed=2)
-        stats = replay_trace(system.manager, trace.records, keep_latencies=True)
+        stats = system.replay(trace.records, keep_latencies=True)
         p50 = stats.latency.percentile(50)
         p99 = stats.latency.percentile(99)
         assert 0 < p50 <= p99 <= stats.latency.max_us
@@ -147,5 +146,5 @@ class TestTraceDrivenParity:
         """Total elapsed time must equal the sum of request latencies."""
         system = tiny(SystemKind.SSC, CacheMode.WRITE_THROUGH)
         trace = [TraceRecord(OpKind.WRITE, i % 500) for i in range(800)]
-        stats = replay_trace(system.manager, trace, keep_latencies=True)
+        stats = system.replay(trace, keep_latencies=True)
         assert stats.elapsed_us == pytest.approx(stats.latency.total_us)

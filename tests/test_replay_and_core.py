@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.stats.counters import LatencyStats, ReplayStats
 from repro.stats.report import format_ratio, format_table
 from repro.traces.record import OpKind, TraceRecord
-from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, USR, generate_trace
 
 
@@ -58,7 +57,7 @@ class TestReplay:
         system = build_system(tiny_config())
         trace = [TraceRecord(OpKind.WRITE, i) for i in range(50)]
         trace += [TraceRecord(OpKind.READ, i) for i in range(50)]
-        stats = replay_trace(system.manager, trace)
+        stats = system.replay(trace)
         assert stats.ops == 100
         assert stats.writes == 50
         assert stats.reads == 50
@@ -68,18 +67,18 @@ class TestReplay:
     def test_warmup_excluded_from_stats(self):
         system = build_system(tiny_config())
         trace = [TraceRecord(OpKind.WRITE, i % 100) for i in range(200)]
-        stats = replay_trace(system.manager, trace, warmup_fraction=0.5)
+        stats = system.replay(trace, warmup_fraction=0.5)
         assert stats.ops == 100
 
     def test_bad_warmup_rejected(self):
         system = build_system(tiny_config())
         with pytest.raises(ValueError):
-            replay_trace(system.manager, [], warmup_fraction=1.0)
+            system.replay([], warmup_fraction=1.0)
 
     def test_reads_hit_after_writes(self):
         system = build_system(tiny_config())
         trace = [TraceRecord(OpKind.WRITE, 5), TraceRecord(OpKind.READ, 5)]
-        stats = replay_trace(system.manager, trace)
+        stats = system.replay(trace)
         assert stats.read_hits == 1
         assert stats.read_misses == 0
 

@@ -1,11 +1,14 @@
 """Differential layer: the event engine at QD=1 IS the serial loop.
 
-The :class:`~repro.engine.ReplayEngine` docstring claims that at
-``queue_depth=1`` it reproduces :func:`~repro.traces.replay.replay_trace`
-bit-for-bit.  This file enforces the claim across every manager kind and
-both write modes, comparing not just aggregate statistics but the full
-per-request latency streams, the per-request hit/miss sequence, the
-per-resource busy-time attribution and the final device state.
+Closed-loop replay at ``queue_depth=1`` is the paper's serial replay:
+one request at a time, simulated time advancing by each request's
+service time.  :func:`_serial_replay` below is that loop in its plainest
+form, kept here as the reference the :class:`~repro.engine.ReplayEngine`
+must reproduce bit-for-bit.  This file enforces the claim across every
+manager kind and both write modes, comparing not just aggregate
+statistics but the full per-request latency streams, the per-request
+hit/miss sequence, the per-resource busy-time attribution and the final
+device state.
 
 These tests are the lock that lets the hot paths underneath (sparse map
 probing, FTL merges, completion tracing, the engine dispatch loop) be
@@ -16,7 +19,7 @@ here, before and after an optimization lands.
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.traces.replay import replay_trace
+from repro.stats.counters import LatencyStats, ReplayStats
 from repro.traces.synthetic import HOMES, USR, generate_trace
 
 ALL_COMBOS = [
@@ -41,6 +44,42 @@ def _records(profile=HOMES, scale=0.02, seed=11):
     return generate_trace(profile.scaled(scale), seed=seed).records
 
 
+def _serial_replay(manager, trace, warmup_fraction=0.0, keep_latencies=False):
+    """Reference serial replay: one request at a time, a float clock
+    that warm-up requests do not advance."""
+    warmup_ops = int(len(trace) * warmup_fraction)
+    stats = ReplayStats(latency=LatencyStats(keep_samples=keep_latencies))
+    busy = stats.device_busy_us
+    now_us = 0.0
+    hits_before = manager.stats.read_hits
+    misses_before = manager.stats.read_misses
+    for index, record in enumerate(trace):
+        if index == warmup_ops:
+            hits_before = manager.stats.read_hits
+            misses_before = manager.stats.read_misses
+        if record.is_write:
+            completion = manager.write(record.lbn, ("w", record.lbn))
+        else:
+            _data, completion = manager.read(record.lbn)
+        if index < warmup_ops:
+            continue
+        now_us += float(completion)
+        stats.ops += 1
+        if record.is_write:
+            stats.writes += 1
+        else:
+            stats.reads += 1
+        stats.latency.record(float(completion))
+        stats.service.record(float(completion))
+        stats.queue_wait.record(0.0)
+        for op in completion.ops:
+            busy[op.resource] = busy.get(op.resource, 0.0) + op.duration_us
+    stats.elapsed_us = now_us
+    stats.read_hits = manager.stats.read_hits - hits_before
+    stats.read_misses = manager.stats.read_misses - misses_before
+    return stats
+
+
 def _instrument(manager, journal):
     """Record every request's hit/miss tag and service time, in order."""
     original_read, original_write = manager.read, manager.write
@@ -59,11 +98,12 @@ def _instrument(manager, journal):
 
 
 def _run_pair(kind, mode, records, warmup_fraction):
-    """Replay identically-built systems through both code paths."""
+    """Replay identically-built systems through the reference serial
+    loop and the engine."""
     legacy_system = _build(kind, mode)
     legacy_journal = []
     _instrument(legacy_system.manager, legacy_journal)
-    legacy = replay_trace(
+    legacy = _serial_replay(
         legacy_system.manager,
         records,
         warmup_fraction=warmup_fraction,

@@ -4,7 +4,7 @@
 own — every cost, every hit/miss decision, every device mutation is a
 member device's.  The sharpest statement of that claim is the ``N=1``
 case: an array of one shard must be *bit-for-bit* indistinguishable
-from driving the bare device, across the serial replay loop, the event
+from driving the bare device, across serial (QD=1) replay, the event
 engine at any queue depth, and the device state left behind.
 
 This is the lock that lets the fan-out/aggregation layer evolve
@@ -17,7 +17,6 @@ import pytest
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
 from repro.core.flashtier import build_sharded_system
 from repro.perf.wallclock import ZIPF_PROFILE
-from repro.traces.replay import replay_trace
 from repro.traces.synthetic import HOMES, generate_trace
 
 ALL_COMBOS = [
@@ -118,17 +117,15 @@ class TestOneShardArrayIsTheDevice:
         single_system = _single(kind, mode)
         single_journal = []
         _instrument(single_system.manager, single_journal)
-        single = replay_trace(
-            single_system.manager, records,
-            warmup_fraction=0.15, keep_latencies=True,
+        single = single_system.replay(
+            records, warmup_fraction=0.15, keep_latencies=True,
         )
 
         array_system = _array(kind, mode)
         array_journal = []
         _instrument(array_system.manager, array_journal)
-        array = replay_trace(
-            array_system.manager, records,
-            warmup_fraction=0.15, keep_latencies=True,
+        array = array_system.replay(
+            records, warmup_fraction=0.15, keep_latencies=True,
         )
 
         _assert_stats_identical(array, single)
@@ -168,8 +165,8 @@ class TestOneShardArrayIsTheDevice:
         records = WORKLOADS["homes"]()
         single_system = _single(SystemKind.SSC, CacheMode.WRITE_BACK)
         array_system = _array(SystemKind.SSC, CacheMode.WRITE_BACK)
-        replay_trace(single_system.manager, records)
-        replay_trace(array_system.manager, records)
+        single_system.replay(records)
+        array_system.replay(records)
 
         assert array_system.ssc.crash() == single_system.ssc.crash()
         single_us = single_system.ssc.recover()
@@ -185,13 +182,11 @@ class TestOneShardArrayIsTheDevice:
         records = WORKLOADS["zipf"]()
         single_system = _single(SystemKind.SSC_R, CacheMode.WRITE_BACK)
         array_system = _array(SystemKind.SSC_R, CacheMode.WRITE_BACK)
-        single = replay_trace(
-            single_system.manager, records,
-            warmup_fraction=0.15, keep_latencies=True,
+        single = single_system.replay(
+            records, warmup_fraction=0.15, keep_latencies=True,
         )
-        array = replay_trace(
-            array_system.manager, records,
-            warmup_fraction=0.15, keep_latencies=True,
+        array = array_system.replay(
+            records, warmup_fraction=0.15, keep_latencies=True,
         )
         for quantile in (0.5, 0.9, 0.99, 1.0):
             assert array.latency.percentile(quantile) == single.latency.percentile(

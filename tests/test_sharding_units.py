@@ -8,6 +8,7 @@ used by the native baseline.
 
 import pytest
 
+from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
 from repro.core.sharding import (
     ShardedSSC,
     ShardedSSD,
@@ -17,8 +18,10 @@ from repro.errors import ConfigError, NotPresentError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.ssd import SSD
+from repro.sim.completion import Completion, DeviceOp
 from repro.sim.crash import CrashInjector
 from repro.ssc.device import SolidStateCache, SSCConfig
+from repro.traces.synthetic import HOMES, generate_trace
 
 GEOMETRY = FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
 
@@ -194,15 +197,46 @@ class TestEngineView:
 
 
 class TestChipView:
-    def test_plane_for_resource_edges(self):
-        array = make_array(2)
-        view = array.chip
-        assert view.plane_for_resource("plane:0") is None      # unsharded key
-        assert view.plane_for_resource("s9:plane:0") is None   # no such shard
-        assert view.plane_for_resource("s0:log") is None       # not a plane
-        assert view.plane_for_resource("s0:plane:99") is None  # no such plane
-        plane = view.plane_for_resource("s1:plane:1")
-        assert plane is array.shards[1].chip.planes[1]
+    def test_engine_resource_table_covers_every_member_plane(self):
+        system = build_system(SystemConfig(
+            kind=SystemKind.SSC_R, mode=CacheMode.WRITE_BACK,
+            cache_blocks=2048, disk_blocks=50_000, shards=4,
+        ))
+        engine = ReplayEngine(system.manager, queue_depth=8)
+        records = generate_trace(HOMES.scaled(0.02), seed=3).records
+        stats = engine.run(records, warmup_fraction=0.15)
+
+        member_planes = [
+            plane for shard in system.ssc.shards for plane in shard.chip.planes
+        ]
+        table = engine.resources
+        assert len(table) == len(member_planes) + 1
+        assert all(table[plane.resource_key] is plane for plane in member_planes)
+        assert table["disk"] is system.disk
+        # Busy time lands only on table keys, spread over every shard.
+        busy = set(stats.device_busy_us)
+        assert busy <= set(table)
+        assert {key.split(":")[0] for key in busy - {"disk"}} == {
+            "s0", "s1", "s2", "s3",
+        }
+        unknown = Completion(1.0, (DeviceOp("s9:plane:0", "page_read", 1.0),))
+        with pytest.raises(KeyError, match="s9:plane:0"):
+            engine._execute(unknown, 0.0, stats, serial=False)
+
+    def test_engine_resource_table_for_native_array(self):
+        # The striped SSD array of the native baseline exposes its
+        # member chips the same way: one table entry per member plane.
+        system = build_system(SystemConfig(
+            kind=SystemKind.NATIVE, mode=CacheMode.WRITE_BACK,
+            cache_blocks=2048, disk_blocks=50_000, shards=2,
+        ))
+        table = ReplayEngine(system.manager).resources
+        member_planes = [
+            plane for ssd in system.ssd.ssds for plane in ssd.chip.planes
+        ]
+        assert len(table) == len(member_planes) + 1
+        assert all(table[plane.resource_key] is plane for plane in member_planes)
+        assert table["disk"] is system.disk
 
     def test_geometry_timing_planes_come_from_shard_zero(self):
         array = make_array(2)
@@ -210,7 +244,7 @@ class TestChipView:
         assert array.chip.timing is array.shards[0].chip.timing
         assert array.chip.planes is array.shards[0].chip.planes
 
-    def test_recorder_fans_out_and_availability_resets(self):
+    def test_recorder_fans_out(self):
         from repro.sim.completion import OpRecorder
 
         array = make_array(2)
@@ -225,7 +259,6 @@ class TestChipView:
         array.write_dirty(8, "b")   # shard 1
         ops = recorder.end(mark)
         assert ops  # both members report through the one recorder
-        array.chip.reset_availability()
 
     def test_wear_and_free_blocks_aggregate(self):
         array = make_array(2)
