@@ -7,10 +7,11 @@ For a deterministic workload, the explorer:
    checkpoint writes) — the tick count of that baseline run enumerates
    every boundary the workload crosses;
 2. re-runs the workload once per boundary index, arms the injector to
-   crash exactly there, recovers the device, and checks the recovered
-   state against the :class:`~repro.check.oracle.SSCOracle`'s legal
-   sets — once with a clean power cut and once with a *torn* write at
-   the firing boundary;
+   crash exactly there, recovers the device, audits the rebuilt flash
+   state (:meth:`~repro.flash.chip.FlashChip.audit`) and checks the
+   recovered state against the :class:`~repro.check.oracle.SSCOracle`'s
+   legal sets — once with a clean power cut and once with a *torn*
+   write at the firing boundary;
 3. optionally runs bit-flip trials: the workload completes, a bit is
    flipped in durable state (a flushed log record, a flash page, a
    checkpoint), and recovery must *discard* the damaged state rather
@@ -33,7 +34,7 @@ from repro.check import faults
 from repro.check.oracle import SSCOracle, Violation
 from repro.check.workload import Op, generate_workload
 from repro.core.sharding import ShardedSSC
-from repro.errors import CrashError, NotPresentError
+from repro.errors import CrashError, FlashStateError, NotPresentError
 from repro.flash.geometry import FlashGeometry
 from repro.sim.crash import CrashInjector
 from repro.ssc.device import SolidStateCache, SSCConfig
@@ -223,6 +224,10 @@ def run_trial(
         target = members[rng.randrange(len(members))] if members else ssc
         fault(target, rng)
     ssc.recover()
+    try:
+        ssc.chip.audit()
+    except FlashStateError as exc:
+        violations.append(Violation("flash-state", None, str(exc), trial))
     violations.extend(oracle.check(ssc, strict=strict, trial=trial))
     fired = injector.fired_point.name if injector.fired_point else None
     return violations, fired

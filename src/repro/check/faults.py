@@ -44,17 +44,16 @@ def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
     The OOB checksum keeps its original value, so the page reads back
     as damaged (checksum mismatch) — recovery must not map it.
     """
+    chip = ssc.chip
     candidates = [
-        page
-        for plane in ssc.chip.planes
-        for block in plane.blocks.values()
-        for page in block.pages
-        if page.state is PageState.VALID and page.oob is not None
+        ppn
+        for ppn, state in enumerate(chip.page_state)
+        if state == PageState.VALID and chip.page_oob[ppn] is not None
     ]
     if not candidates:
         return False
-    page = rng.choice(candidates)
-    page.data = ("<bitrot>", page.data)
+    ppn = rng.choice(candidates)
+    chip.page_data[ppn] = ("<bitrot>", chip.page_data[ppn])
     return True
 
 

@@ -154,15 +154,17 @@ class _ShardedChipView:
     def wear_differential(self) -> int:
         """Max minus min per-block erase count across the whole array."""
         counts = [
-            block.erase_count
-            for chip in self.chips
-            for plane in chip.planes
-            for block in plane.blocks.values()
+            block.erase_count for chip in self.chips for block in chip.blocks
         ]
         return max(counts) - min(counts) if counts else 0
 
     def free_blocks_total(self) -> int:
-        return sum(chip.free_blocks_total() for chip in self.chips)
+        return sum(chip.free_total for chip in self.chips)
+
+    def audit(self) -> None:
+        """Audit every member chip (see :meth:`FlashChip.audit`)."""
+        for chip in self.chips:
+            chip.audit()
 
     def __repr__(self) -> str:
         return f"_ShardedChipView(chips={len(self.chips)})"

@@ -35,6 +35,11 @@ class WriteToNonErasedPageError(FlashError):
     """
 
 
+class FlashStateError(FlashError):
+    """A block's incremental state (counters, bitmaps, free pools)
+    disagrees with the chip's page columns."""
+
+
 class EraseActiveBlockError(FlashError):
     """An erase targeted a block that still holds pages the FTL maps."""
 

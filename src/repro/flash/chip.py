@@ -5,20 +5,31 @@ The chip is the boundary between FTL logic (above) and the NAND model
 device layer can account request latency; the chip itself also keeps
 aggregate statistics (reads, programs, erases, wear spread) that the
 evaluation's Table 5 reports.
+
+Page contents live in three flat columns indexed by physical page
+number (``page_state``, ``page_data``, ``page_oob``); erase blocks are
+windows onto them.  Because the timing model is frozen, every chip
+operation's :class:`~repro.sim.completion.DeviceOp` is built once per
+plane and kind, and the op trace records the shared tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.errors import CrashError
-from repro.flash.block import EraseBlock
+from repro.errors import CrashError, FlashStateError
+from repro.flash.block import EraseBlock, new_columns
 from repro.flash.geometry import FlashGeometry
-from repro.flash.page import OOBData, Page, PageState
+from repro.flash.page import OOBData, PageState
 from repro.flash.plane import Plane
 from repro.flash.timing import TimingModel
-from repro.sim.completion import OpRecorder, plane_resource, shard_plane_resource
+from repro.sim.completion import (
+    DeviceOp,
+    OpRecorder,
+    plane_resource,
+    shard_plane_resource,
+)
 from repro.sim.crash import CrashInjector, CrashPoint
 from repro.util.checksum import crc32_of_payload
 
@@ -61,7 +72,7 @@ class FlashChip:
         geometry: Optional[FlashGeometry] = None,
         timing: Optional[TimingModel] = None,
     ):
-        self.geometry = geometry or FlashGeometry()
+        self.geometry = geo = geometry or FlashGeometry()
         self.timing = timing or TimingModel()
         self.stats = FlashStats()
         # Per-request op tracing: a cache manager shares one recorder
@@ -72,20 +83,30 @@ class FlashChip:
         # injector at its BEFORE/AFTER durability boundaries so a crash
         # (or torn program) can fire mid-operation.
         self.crash_injector: Optional[CrashInjector] = None
-        self.planes: List[Plane] = []
-        pages = self.geometry.pages_per_block
-        for plane_id in range(self.geometry.planes):
-            blocks = [
-                EraseBlock(pbn, pages)
-                for pbn in self.geometry.blocks_in_plane(plane_id)
-            ]
-            self.planes.append(Plane(plane_id, blocks))
-        # Interned "plane:<n>" keys, indexed by plane id (op-trace hot path).
-        self._plane_keys = [
-            plane_resource(plane_id) for plane_id in range(self.geometry.planes)
+        #: The page columns, indexed by PPN: state codes (PageState
+        #: values), data payloads and OOB records.  Writes go through
+        #: the owning block so its counters and bitmaps follow.
+        columns = new_columns(geo.total_pages)
+        self.page_state, self.page_data, self.page_oob = columns
+        #: Every erase block, indexed by PBN.
+        self.blocks: List[EraseBlock] = [
+            EraseBlock(pbn, geo.pages_per_block, columns)
+            for pbn in range(geo.total_blocks)
         ]
-        for plane, key in zip(self.planes, self._plane_keys):
-            plane.resource_key = key
+        self._blocks_per_plane = geo.blocks_per_plane
+        self._pages_per_plane = geo.blocks_per_plane * geo.pages_per_block
+        self.planes: List[Plane] = [
+            Plane(
+                plane_id,
+                self.blocks[plane_id * geo.blocks_per_plane:
+                            (plane_id + 1) * geo.blocks_per_plane],
+                self,
+            )
+            for plane_id in range(geo.planes)
+        ]
+        #: Free erased blocks over all planes; the planes keep it in
+        #: step with their free sets.
+        self.free_total = geo.total_blocks
         # Set when this chip is a member of a sharded array (see
         # set_resource_shard); None for a standalone device.
         self.resource_shard: Optional[int] = None
@@ -95,6 +116,9 @@ class FlashChip:
         self._erase_cost_us = self.timing.erase_cost()
         self._oob_read_cost_us = self.timing.oob_read_cost()
         self._write_seq = 0
+        self._set_plane_keys(
+            [plane_resource(plane_id) for plane_id in range(geo.planes)]
+        )
 
     # ---- lookup helpers --------------------------------------------------
 
@@ -104,28 +128,22 @@ class FlashChip:
 
     def block(self, pbn: int) -> EraseBlock:
         """Erase block ``pbn``."""
-        geo = self.geometry
-        geo.check_pbn(pbn)
-        return self.planes[pbn // geo.blocks_per_plane].blocks[pbn]
-
-    def page(self, ppn: int) -> Page:
-        """Page object for ``ppn`` (no timing cost; simulator internal)."""
-        geo = self.geometry
-        geo.check_ppn(ppn)
-        pbn = ppn // geo.pages_per_block
-        plane = self.planes[pbn // geo.blocks_per_plane]
-        return plane.blocks[pbn].pages[ppn - pbn * geo.pages_per_block]
+        self.geometry.check_pbn(pbn)
+        return self.blocks[pbn]
 
     def next_seq(self) -> int:
         """Monotonic write sequence number stamped into each page's OOB."""
         self._write_seq += 1
         return self._write_seq
 
-    def _plane_id_of_ppn(self, ppn: int) -> int:
-        return ppn // self.geometry.pages_per_block // self.geometry.blocks_per_plane
-
-    def _record_op(self, plane_id: int, kind: str, cost: float) -> None:
-        self.op_recorder.record(self._plane_keys[plane_id], kind, cost)
+    def _set_plane_keys(self, keys: List[str]) -> None:
+        """Assign the planes' resource keys and build the interned ops."""
+        for plane, key in zip(self.planes, keys):
+            plane.resource_key = key
+        self._read_ops = [DeviceOp(key, "page_read", self._read_cost_us) for key in keys]
+        self._write_ops = [DeviceOp(key, "page_write", self._write_cost_us) for key in keys]
+        self._erase_ops = [DeviceOp(key, "erase", self._erase_cost_us) for key in keys]
+        self._scan_ops = [DeviceOp(key, "oob_scan", self._oob_read_cost_us) for key in keys]
 
     def set_resource_shard(self, shard_id: int) -> None:
         """Re-key this chip's plane resources as ``"s<k>:plane:<n>"``.
@@ -136,12 +154,10 @@ class FlashChip:
         separate devices must never queue behind one another.
         """
         self.resource_shard = shard_id
-        self._plane_keys = [
+        self._set_plane_keys([
             shard_plane_resource(shard_id, plane_id)
             for plane_id in range(self.geometry.planes)
-        ]
-        for plane, key in zip(self.planes, self._plane_keys):
-            plane.resource_key = key
+        ])
 
     # ---- timed operations -------------------------------------------------
 
@@ -152,13 +168,13 @@ class FlashChip:
         returns whatever is in the cells); the FTL above decides whether
         that is meaningful.
         """
-        page = self.page(ppn)
+        self.geometry.check_ppn(ppn)
         cost = self._read_cost_us
-        self.stats.page_reads += 1
-        self.stats.busy_us += cost
-        if self.op_recorder.active:
-            self._record_op(self._plane_id_of_ppn(ppn), "page_read", cost)
-        return page.data, page.oob, cost
+        stats = self.stats
+        stats.page_reads += 1
+        stats.busy_us += cost
+        self.op_recorder.add(self._read_ops[ppn // self._pages_per_plane])
+        return self.page_data[ppn], self.page_oob[ppn], cost
 
     def program_page(self, ppn: int, data: Any, oob: OOBData) -> float:
         """Program page ``ppn`` with data + OOB; returns cost_us.
@@ -172,6 +188,11 @@ class FlashChip:
         geo = self.geometry
         geo.check_ppn(ppn)
         pbn, offset = divmod(ppn, geo.pages_per_block)
+        return self._program(self.blocks[pbn], offset, data, oob)
+
+    def _program(self, block: EraseBlock, offset: int, data: Any,
+                 oob: OOBData) -> float:
+        """The one page-program path (user writes and GC copies)."""
         injector = self.crash_injector
         if injector is not None:
             try:
@@ -179,68 +200,129 @@ class FlashChip:
             except CrashError:
                 if injector.torn:
                     # Power failed mid-program: the page holds garbage.
-                    self.block(pbn).program_torn(offset)
+                    block.program_torn(offset)
                     self.stats.page_writes += 1
                 raise
         if oob.checksum is None:
             oob.checksum = crc32_of_payload(oob.lbn, data)
-        # ppn was range-checked above; skip block()'s redundant check.
-        self.planes[pbn // geo.blocks_per_plane].blocks[pbn].program(
-            offset, data, oob
-        )
+        block.program(offset, data, oob)
         cost = self._write_cost_us
-        self.stats.page_writes += 1
-        self.stats.busy_us += cost
-        if self.op_recorder.active:
-            self._record_op(pbn // self.geometry.blocks_per_plane, "page_write", cost)
+        stats = self.stats
+        stats.page_writes += 1
+        stats.busy_us += cost
+        self.op_recorder.add(self._write_ops[block.pbn // self._blocks_per_plane])
         if injector is not None:
             injector.tick(CrashPoint.AFTER_DATA_WRITE)
+        return cost
+
+    def copy_pages(
+        self,
+        moves: Iterable[Tuple[int, int, int]],
+        cost: float,
+        gc_stats,
+        on_copied: Optional[Callable[[int, int], Any]] = None,
+    ) -> float:
+        """Garbage-collection copies: the one page-relocation loop.
+
+        ``moves`` yields ``(src_ppn, dst_ppn, lbn)``.  Each move reads
+        the source page, programs its payload at ``dst_ppn`` under a
+        fresh OOB record (``lbn``, the source's dirty flag, the next
+        write sequence number), invalidates the source, then calls
+        ``on_copied(lbn, dst_ppn)``.  Each move adds its read cost and
+        then its program cost onto ``cost``, which is returned;
+        ``gc_stats.gc_page_reads``/``gc_page_writes`` count the copies.
+        ``moves`` is consumed lazily, so it may pick each destination
+        after the previous copy has landed.
+        """
+        read_cost = self._read_cost_us
+        stats = self.stats
+        recorder = self.op_recorder
+        read_ops = self._read_ops
+        pages_per_plane = self._pages_per_plane
+        pages_per_block = self.geometry.pages_per_block
+        blocks = self.blocks
+        page_data = self.page_data
+        page_oob = self.page_oob
+        program = self._program
+        for src_ppn, dst_ppn, lbn in moves:
+            stats.page_reads += 1
+            stats.busy_us += read_cost
+            recorder.add(read_ops[src_ppn // pages_per_plane])
+            cost += read_cost
+            gc_stats.gc_page_reads += 1
+            self._write_seq += 1
+            source_oob = page_oob[src_ppn]
+            oob = OOBData(
+                lbn, bool(source_oob and source_oob.dirty), self._write_seq
+            )
+            dst_pbn, dst_offset = divmod(dst_ppn, pages_per_block)
+            cost += program(blocks[dst_pbn], dst_offset, page_data[src_ppn], oob)
+            gc_stats.gc_page_writes += 1
+            src_pbn, src_offset = divmod(src_ppn, pages_per_block)
+            blocks[src_pbn].invalidate(src_offset)
+            if on_copied is not None:
+                on_copied(lbn, dst_ppn)
         return cost
 
     def erase_block(self, pbn: int) -> float:
         """Erase block ``pbn`` and return it to its plane's free list."""
         block = self.block(pbn)
         block.erase()
-        self.plane_of_block(pbn).release(block)
+        plane_id = pbn // self._blocks_per_plane
+        self.planes[plane_id].release(block)
         cost = self._erase_cost_us
-        self.stats.block_erases += 1
-        self.stats.busy_us += cost
-        if self.op_recorder.active:
-            self._record_op(pbn // self.geometry.blocks_per_plane, "erase", cost)
+        stats = self.stats
+        stats.block_erases += 1
+        stats.busy_us += cost
+        self.op_recorder.add(self._erase_ops[plane_id])
         return cost
 
-    def scan_oob(self, ppn: int) -> Tuple[Optional[OOBData], "PageState", float]:
+    def scan_oob(self, ppn: int) -> Tuple[Optional[OOBData], PageState, float]:
         """Read only the OOB area of ``ppn`` (used by native recovery)."""
-        page = self.page(ppn)
+        self.geometry.check_ppn(ppn)
         cost = self._oob_read_cost_us
         self.stats.oob_scans += 1
         self.stats.busy_us += cost
-        if self.op_recorder.active:
-            self._record_op(self._plane_id_of_ppn(ppn), "oob_scan", cost)
-        return page.oob, page.state, cost
+        self.op_recorder.add(self._scan_ops[ppn // self._pages_per_plane])
+        return self.page_oob[ppn], PageState(self.page_state[ppn]), cost
+
+    # ---- consistency ---------------------------------------------------------
+
+    def audit(self) -> None:
+        """Check the incremental flash state against the page columns.
+
+        Recomputes every block's valid/dirty counts and bitmaps, checks
+        that no page at or past a write pointer is programmed and that
+        FREE blocks are fully erased, that each plane's free set holds
+        exactly its FREE blocks, and that ``free_total`` matches the
+        free sets.  Raises :class:`~repro.errors.FlashStateError`
+        naming the first mismatch.
+        """
+        for block in self.blocks:
+            block.audit()
+        for plane in self.planes:
+            plane.audit()
+        free = sum(plane.free_count for plane in self.planes)
+        if free != self.free_total:
+            raise FlashStateError(
+                f"chip free counter is {self.free_total}, "
+                f"planes hold {free} free blocks"
+            )
 
     # ---- wear accounting ----------------------------------------------------
 
     def total_erases(self) -> int:
         """Sum of erase counts over every block."""
-        return sum(
-            block.erase_count
-            for plane in self.planes
-            for block in plane.blocks.values()
-        )
+        return sum(block.erase_count for block in self.blocks)
 
     def wear_differential(self) -> int:
         """Max minus min per-block erase count (Table 5's "Wear Diff.")."""
-        counts = [
-            block.erase_count
-            for plane in self.planes
-            for block in plane.blocks.values()
-        ]
+        counts = [block.erase_count for block in self.blocks]
         return max(counts) - min(counts) if counts else 0
 
     def free_blocks_total(self) -> int:
         """Free erased blocks summed over all planes."""
-        return sum(plane.free_count for plane in self.planes)
+        return self.free_total
 
     def __repr__(self) -> str:
         return (

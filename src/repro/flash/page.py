@@ -1,4 +1,4 @@
-"""Flash pages and their out-of-band (OOB) metadata.
+"""Flash page states and out-of-band (OOB) metadata.
 
 A page holds an opaque data payload (the simulator stores a small token
 rather than 4 KB of bytes, in the style of the David emulator the paper
@@ -6,24 +6,32 @@ cites) plus an OOB record.  The OOB area carries the *reverse map* — the
 logical block the page holds — and the page's clean/dirty state, which
 the SSC uses for garbage collection and which the native SSD baseline
 must scan at recovery time.
+
+Pages are not objects: the chip stores every page as one slot in three
+flat columns (state code, payload, OOB record); see
+:class:`~repro.flash.chip.FlashChip`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, auto
-from typing import Any, Optional
+from enum import IntEnum
+from typing import Optional
 
 
-class PageState(Enum):
-    """Lifecycle of a flash page between erases."""
+class PageState(IntEnum):
+    """Lifecycle of a flash page between erases.
 
-    FREE = auto()      # erased, programmable
-    VALID = auto()     # holds live, mapped data
-    INVALID = auto()   # holds stale data awaiting erase
+    The values are the codes stored in the chip's ``page_state``
+    column; an erased column (all zero bytes) is all FREE.
+    """
+
+    FREE = 0       # erased, programmable
+    VALID = 1      # holds live, mapped data
+    INVALID = 2    # holds stale data awaiting erase
 
 
-@dataclass
+@dataclass(slots=True)
 class OOBData:
     """Out-of-band record written alongside a page program.
 
@@ -36,30 +44,13 @@ class OOBData:
     time); recovery uses it to detect torn programs and bit rot, and
     ``None`` marks metadata written before checksumming existed (always
     treated as intact).
+
+    ``dirty`` of a programmed page changes only through the owning
+    block's ``mark_clean``/``mark_dirty`` (or ``recount``), which keep
+    the block's dirty counter and bitmap in step.
     """
 
     lbn: Optional[int] = None
     dirty: bool = False
     seq: int = 0
     checksum: Optional[int] = None
-
-
-class Page:
-    """One 4 KB flash page."""
-
-    __slots__ = ("state", "data", "oob")
-
-    def __init__(self):
-        self.state = PageState.FREE
-        self.data: Any = None
-        self.oob: Optional[OOBData] = None
-
-    def reset(self) -> None:
-        """Return the page to the erased state (called by block erase)."""
-        self.state = PageState.FREE
-        self.data = None
-        self.oob = None
-
-    def __repr__(self) -> str:
-        lbn = self.oob.lbn if self.oob is not None else None
-        return f"Page(state={self.state.name}, lbn={lbn})"

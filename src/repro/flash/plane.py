@@ -12,7 +12,7 @@ import heapq
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.errors import InvalidAddressError
+from repro.errors import FlashStateError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 
 
@@ -30,8 +30,11 @@ class Plane:
     #: Optional trace bus (repro.obs); None keeps allocation zero-cost.
     tracer = None
 
-    def __init__(self, plane_id: int, blocks: List[EraseBlock]):
+    def __init__(self, plane_id: int, blocks: List[EraseBlock], chip):
         self.plane_id = plane_id
+        #: The owning chip; every move into or out of the free set
+        #: adjusts its ``free_total`` counter.
+        self.chip = chip
         #: Availability-timeline key ("plane:<n>" or "s<k>:plane:<n>"),
         #: assigned by the owning chip; doubles as the trace lane.
         self.resource_key = f"plane:{plane_id}"
@@ -86,6 +89,7 @@ class Plane:
             pbn = self._free.popleft()
             if pbn in free_set:
                 free_set.discard(pbn)
+                self.chip.free_total -= 1
                 block = self.blocks[pbn]
                 block.kind = kind
                 if self.tracer is not None:
@@ -107,6 +111,7 @@ class Plane:
                 f"block {pbn} is not free in plane {self.plane_id}"
             )
         self._free_set.discard(pbn)
+        self.chip.free_total -= 1
         block = self.blocks[pbn]
         block.kind = kind
         if self.tracer is not None:
@@ -156,7 +161,9 @@ class Plane:
                 f"block {block.pbn} must be erased before release "
                 f"(kind={block.kind.name})"
             )
-        self._free_set.add(block.pbn)
+        if block.pbn not in self._free_set:
+            self._free_set.add(block.pbn)
+            self.chip.free_total += 1
         self._free.append(block.pbn)
         heapq.heappush(self._wear_heap, (block.erase_count, block.pbn))
         heapq.heappush(self._hot_heap, (-block.erase_count, -block.pbn))
@@ -168,6 +175,20 @@ class Plane:
     def is_free(self, pbn: int) -> bool:
         """True if block ``pbn`` sits on this plane's free list."""
         return pbn in self._free_set
+
+    def audit(self) -> None:
+        """Raise :class:`FlashStateError` unless the free set holds
+        exactly this plane's ``BlockKind.FREE`` blocks."""
+        free_kind = {
+            pbn for pbn, block in self.blocks.items()
+            if block.kind is BlockKind.FREE
+        }
+        if free_kind != self._free_set:
+            raise FlashStateError(
+                f"plane {self.plane_id}: free set "
+                f"{sorted(self._free_set ^ free_kind)} disagrees with "
+                f"block kinds (symmetric difference)"
+            )
 
     def reserve(self, start_us: float, duration_us: float):
         """Claim this plane for ``duration_us``, no earlier than ``start_us``.

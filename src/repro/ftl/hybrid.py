@@ -32,7 +32,7 @@ from typing import Any, Deque, Optional, Tuple
 from repro.errors import ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.flash.page import OOBData, PageState
+from repro.flash.page import OOBData
 from repro.ftl.base import FTLStats
 from repro.ftl.mapping import DenseBlockMap, DensePageMap
 from repro.ftl.wear import WearConfig, WearLeveler
@@ -175,10 +175,8 @@ class HybridFTL:
             return data, cost
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
-            block = self.chip.block(pbn)
             offset = self._offset_of(lpn)
-            page = block.pages[offset]
-            if page.state is PageState.VALID:
+            if self.chip.block(pbn).valid_bits >> offset & 1:
                 data, _oob, cost = self.chip.read_page(
                     self.chip.geometry.make_ppn(pbn, offset)
                 )
@@ -223,7 +221,7 @@ class HybridFTL:
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is None:
             return False
-        return self.chip.block(pbn).pages[self._offset_of(lpn)].state is PageState.VALID
+        return bool(self.chip.block(pbn).valid_bits >> self._offset_of(lpn) & 1)
 
     def set_page_dirty(self, lpn: int, dirty: bool) -> None:
         """Flip the OOB dirty flag on ``lpn``'s current flash copy."""
@@ -366,34 +364,22 @@ class HybridFTL:
         copies_before = self.stats.gc_page_writes
         partial = not block.is_full
         if old_pbn is not None:
-            old = self.chip.block(old_pbn)
             # Copy live pages the run did not cover (offsets past the
-            # write pointer; covered offsets were invalidated on write).
-            for offset in range(block.write_pointer, self.pages_per_block):
-                page = old.pages[offset]
-                if page.state is not PageState.VALID:
-                    continue
-                lpn = base_lpn + offset
-                if lpn in self.log_map:
-                    continue  # newer copy lives in a random log block
-                src_ppn = self.chip.geometry.make_ppn(old_pbn, offset)
-                data, oob, read_cost = self.chip.read_page(src_ppn)
-                cost += read_cost
-                self.stats.gc_page_reads += 1
-                dst_ppn = self.chip.geometry.make_ppn(block.pbn, offset)
-                cost += self.chip.program_page(
-                    dst_ppn,
-                    data,
-                    OOBData(lbn=lpn, dirty=bool(oob and oob.dirty), seq=self.chip.next_seq()),
-                )
-                self.stats.gc_page_writes += 1
-                old.invalidate(offset)
+            # write pointer; covered offsets were invalidated on write),
+            # unless a newer copy lives in a random log block.
+            old_base = old_pbn * self.pages_per_block
+            moves = [
+                (old_base + offset, block.base + offset, base_lpn + offset)
+                for offset in self.chip.block(old_pbn).valid_offsets()
+                if offset >= block.write_pointer
+                and base_lpn + offset not in self.log_map
+            ]
+            cost = self.chip.copy_pages(moves, cost, self.stats)
         # Remove log-map entries that point into this block; entries that
         # point at newer random-log copies stay.
-        for offset in range(self.pages_per_block):
-            page = block.pages[offset]
-            if page.state is PageState.VALID and page.oob is not None:
-                self.log_map.remove(page.oob.lbn)
+        page_oob = self.chip.page_oob
+        for offset in block.valid_offsets():
+            self.log_map.remove(page_oob[block.base + offset].lbn)
         block.kind = BlockKind.DATA
         self.data_map.insert(group, block.pbn)
         if old_pbn is not None:
@@ -457,9 +443,10 @@ class HybridFTL:
             if self._is_switch_mergeable(victim):
                 cost += self._switch_merge(victim)
             else:
+                page_oob = self.chip.page_oob
                 groups = sorted(
                     {
-                        self._group_of(victim.pages[offset].oob.lbn)
+                        self._group_of(page_oob[victim.base + offset].lbn)
                         for offset in victim.valid_offsets()
                     }
                 )
@@ -552,16 +539,15 @@ class HybridFTL:
         base_lpn = group * pages_per_block
 
         live = []  # (offset, source_ppn)
-        old_pages = None if old_pbn is None else self.chip.block(old_pbn).pages
-        old_base_ppn = None if old_pbn is None else old_pbn * pages_per_block
+        old_valid = 0 if old_pbn is None else self.chip.block(old_pbn).valid_bits
+        old_base_ppn = 0 if old_pbn is None else old_pbn * pages_per_block
+        lookup = self.log_map.lookup
         for offset in range(pages_per_block):
-            lpn = base_lpn + offset
-            ppn = self.log_map.lookup(lpn)
+            ppn = lookup(base_lpn + offset)
             if ppn is not None:
                 live.append((offset, ppn))
-            elif old_pages is not None:
-                if old_pages[offset].state is PageState.VALID:
-                    live.append((offset, old_base_ppn + offset))
+            elif old_valid >> offset & 1:
+                live.append((offset, old_base_ppn + offset))
 
         if old_pbn is not None:
             self._gc_protected.add(old_pbn)
@@ -571,23 +557,19 @@ class HybridFTL:
             else:
                 new_block = self._allocate_block(BlockKind.DATA)
                 self._gc_protected.add(new_block.pbn)
-                chip = self.chip
                 new_base_ppn = new_block.pbn * pages_per_block
-                for offset, src_ppn in live:
-                    data, oob, read_cost = chip.read_page(src_ppn)
-                    cost += read_cost
-                    self.stats.gc_page_reads += 1
-                    new_oob = OOBData(
-                        lbn=base_lpn + offset,
-                        dirty=bool(oob and oob.dirty),
-                        seq=chip.next_seq(),
-                    )
-                    cost += chip.program_page(new_base_ppn + offset, data, new_oob)
-                    self.stats.gc_page_writes += 1
-                    # Invalidate the source copy and drop any log mapping.
-                    src_pbn, src_offset = divmod(src_ppn, pages_per_block)
-                    chip.block(src_pbn).invalidate(src_offset)
-                    self.log_map.remove(base_lpn + offset)
+                # Each copy invalidates its source, then drops any log
+                # mapping of the page.
+                remove = self.log_map.remove
+                cost = self.chip.copy_pages(
+                    [
+                        (src_ppn, new_base_ppn + offset, base_lpn + offset)
+                        for offset, src_ppn in live
+                    ],
+                    cost,
+                    self.stats,
+                    lambda lbn, _dst_ppn: remove(lbn),
+                )
                 self.data_map.insert(group, new_block.pbn)
                 self._gc_protected.discard(new_block.pbn)
 

@@ -174,34 +174,27 @@ class PageMapFTL:
 
     def _collect(self, victim: EraseBlock) -> float:
         """Copy the victim's live pages forward, then erase it."""
-        cost = 0.0
-        base_ppn = victim.pbn * self.pages_per_block
-        for offset in victim.valid_offsets():
-            src_ppn = base_ppn + offset
-            data, oob, read_cost = self.chip.read_page(src_ppn)
-            cost += read_cost
-            self.stats.gc_page_reads += 1
-            block, gc_cost = self._append_slot_for_gc()
-            cost += gc_cost
-            dst_ppn = self.chip.geometry.make_ppn(block.pbn, block.write_pointer)
-            cost += self.chip.program_page(
-                dst_ppn,
-                data,
-                OOBData(lbn=oob.lbn, dirty=oob.dirty, seq=self.chip.next_seq()),
-            )
-            self.stats.gc_page_writes += 1
-            victim.invalidate(offset)
-            self.page_map.insert(oob.lbn, dst_ppn)
+        page_oob = self.chip.page_oob
+
+        def moves():
+            # Destinations are picked lazily: a copy may fill the append
+            # block, and the next one then opens a fresh block.
+            for offset in victim.valid_offsets():
+                src_ppn = victim.base + offset
+                block = self._append_block_for_gc()
+                yield src_ppn, block.base + block.write_pointer, page_oob[src_ppn].lbn
+
+        cost = self.chip.copy_pages(moves(), 0.0, self.stats, self.page_map.insert)
         cost += self.chip.erase_block(victim.pbn)
         return cost
 
-    def _append_slot_for_gc(self) -> Tuple[EraseBlock, float]:
+    def _append_block_for_gc(self) -> EraseBlock:
         # GC appends must not recurse into GC; the reserved pool
         # guarantees a free block exists while collecting.
         if self._active is None or self._active.is_full:
             plane = max(self.chip.planes, key=lambda plane: plane.free_count)
             self._active = self.wear.pick_block(plane, BlockKind.DATA)
-        return self._active, 0.0
+        return self._active
 
     def background_step(self) -> float:
         """One idle-time GC increment: compact the most-invalid block."""

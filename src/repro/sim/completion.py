@@ -114,6 +114,15 @@ class OpRecorder:
         if self._depth > 0:
             self._ops.append(DeviceOp(resource, kind, duration_us))
 
+    def add(self, op: DeviceOp) -> None:
+        """Record a pre-built operation (no-op unless a capture is open).
+
+        Devices whose per-op cost is fixed build one :class:`DeviceOp`
+        per (resource, kind) up front and record the shared tuple.
+        """
+        if self._depth > 0:
+            self._ops.append(op)
+
     def end(self, mark: int) -> Tuple[DeviceOp, ...]:
         """Close the capture opened at ``mark``; returns its operations."""
         if self._depth <= 0:

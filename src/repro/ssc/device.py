@@ -36,7 +36,6 @@ from repro.errors import ConfigError, CrashError, NotPresentError, RecoveryError
 from repro.flash.chip import FlashChip
 from repro.sim.completion import Completion
 from repro.sim.crash import CrashInjector
-from repro.flash.page import PageState
 from repro.ftl.wear import WearConfig
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
@@ -298,26 +297,23 @@ class SolidStateCache:
         """
         self._check_alive()
         dirty: List[int] = []
+        page_oob = self.chip.page_oob
         for lbn, ppn in self.engine.log_map.items():
             if start_lbn <= lbn < end_lbn:
-                page = self.chip.page(ppn)
-                if page.oob is not None and page.oob.dirty:
+                oob = page_oob[ppn]
+                if oob is not None and oob.dirty:
                     dirty.append(lbn)
         pages_per_block = self.engine.pages_per_block
         for group, pbn in self.engine.data_map.items():
             base = group * pages_per_block
             if base + pages_per_block <= start_lbn or base >= end_lbn:
                 continue
-            block = self.chip.block(pbn)
-            for offset, page in enumerate(block.pages):
-                lbn = base + offset
-                if not start_lbn <= lbn < end_lbn:
-                    continue
-                if (
-                    page.state is PageState.VALID
-                    and page.oob is not None
-                    and page.oob.dirty
-                ):
+            bits = self.chip.block(pbn).dirty_bits
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                lbn = base + low.bit_length() - 1
+                if start_lbn <= lbn < end_lbn:
                     dirty.append(lbn)
         dirty.sort()
         return dirty, self.chip.timing.control_delay_us
@@ -341,9 +337,9 @@ class SolidStateCache:
             location = self.engine.current_location(lbn)
             if location is None:
                 continue
-            page = self.chip.page(location[2])
-            dirty = bool(page.oob is not None and page.oob.dirty)
-            seq = page.oob.seq if page.oob is not None else 0
+            oob = self.chip.page_oob[location[2]]
+            dirty = bool(oob is not None and oob.dirty)
+            seq = oob.seq if oob is not None else 0
             entries.append((lbn, dirty, seq))
         entries.sort()
         return entries, self.chip.timing.control_delay_us
@@ -428,21 +424,19 @@ class SolidStateCache:
         return cost
 
     def _page_entries_snapshot(self) -> List[Tuple[int, int, bool]]:
+        page_oob = self.chip.page_oob
         entries = []
         for lbn, ppn in self.engine.log_map.items():
-            page = self.chip.page(ppn)
-            dirty = bool(page.oob is not None and page.oob.dirty)
-            entries.append((lbn, ppn, dirty))
+            oob = page_oob[ppn]
+            entries.append((lbn, ppn, bool(oob is not None and oob.dirty)))
         return entries
 
     def _block_entries_snapshot(self) -> List[Tuple[int, int, int, int]]:
-        entries = []
-        for group, pbn in self.engine.data_map.items():
-            packed = self.engine.data_map._state_bitmaps(pbn)
-            dirty_bitmap = packed & ((1 << 64) - 1)
-            valid_bitmap = packed >> 64
-            entries.append((group, pbn, dirty_bitmap, valid_bitmap))
-        return entries
+        blocks = self.chip.blocks
+        return [
+            (group, pbn, blocks[pbn].dirty_bits, blocks[pbn].valid_bits)
+            for group, pbn in self.engine.data_map.items()
+        ]
 
     # ------------------------------------------------------------------
     # Crash and recovery

@@ -35,11 +35,10 @@ from typing import Dict, Iterator, Optional, Tuple
 from repro.errors import CacheFullError, ConfigError, InvalidAddressError
 from repro.flash.block import BlockKind, EraseBlock
 from repro.flash.chip import FlashChip
-from repro.flash.page import PageState
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
 from repro.ftl.base import FTLStats
 from repro.ftl.wear import WearConfig, WearLeveler
-from repro.ssc.log import OperationLog, RecordKind
+from repro.ssc.log import BITMAP_BITS, OperationLog, RecordKind
 from repro.ssc.sparse_map import SparseHashMap
 
 
@@ -94,8 +93,8 @@ class LoggedPageMap:
         return self.inner.lookup(lbn)
 
     def insert(self, lbn: int, ppn: int) -> Optional[int]:
-        page = self._chip.page(ppn)
-        dirty = bool(page.oob is not None and page.oob.dirty)
+        oob = self._chip.page_oob[ppn]
+        dirty = bool(oob is not None and oob.dirty)
         self._log.append(RecordKind.INSERT_PAGE, lbn, ppn, extra=int(dirty))
         return self.inner.insert(lbn, ppn)
 
@@ -132,15 +131,7 @@ class LoggedBlockMap:
     def _state_bitmaps(self, pbn: int) -> int:
         """Pack the block's dirty (low 64) and valid (high 64) bitmaps."""
         block = self._chip.block(pbn)
-        dirty_bitmap = 0
-        valid_bitmap = 0
-        for offset, page in enumerate(block.pages):
-            if page.state is not PageState.VALID:
-                continue
-            valid_bitmap |= 1 << offset
-            if page.oob is not None and page.oob.dirty:
-                dirty_bitmap |= 1 << offset
-        return dirty_bitmap | (valid_bitmap << 64)
+        return block.dirty_bits | block.valid_bits << BITMAP_BITS
 
     def lookup(self, group: int) -> Optional[int]:
         return self.inner.lookup(group)
@@ -202,6 +193,12 @@ class CacheFTL(HybridFTL):
 
         total = geometry.total_blocks
         self.pages_per_block = geometry.pages_per_block
+        if self.pages_per_block > BITMAP_BITS:
+            raise ConfigError(
+                f"an SSC erase block may have at most {BITMAP_BITS} pages "
+                f"(the log record and checkpoint pack {BITMAP_BITS}-bit "
+                f"block bitmaps); got pages_per_block={self.pages_per_block}"
+            )
         self.log_blocks_target = max(1, int(total * self.config.log_fraction))
         if self.config.policy is EvictionPolicy.MERGE:
             self.max_log_blocks = max(
@@ -280,9 +277,9 @@ class CacheFTL(HybridFTL):
 
     def _retire_block_copy(self, lpn: int, pbn: int) -> None:
         offset = self._offset_of(lpn)
-        page = self.chip.block(pbn).pages[offset]
-        if page.state is PageState.VALID:
-            self.chip.block(pbn).invalidate(offset)
+        block = self.chip.block(pbn)
+        if block.valid_bits >> offset & 1:
+            block.invalidate(offset)
             self.oplog.append(
                 RecordKind.INVALIDATE_PAGE,
                 lpn,
@@ -302,9 +299,9 @@ class CacheFTL(HybridFTL):
         pbn = self.data_map.lookup(self._group_of(lpn))
         if pbn is not None:
             offset = self._offset_of(lpn)
-            page = self.chip.block(pbn).pages[offset]
-            if page.state is PageState.VALID:
-                self.chip.block(pbn).invalidate(offset)
+            block = self.chip.block(pbn)
+            if block.valid_bits >> offset & 1:
+                block.invalidate(offset)
                 self.oplog.append(
                     RecordKind.INVALIDATE_PAGE,
                     lpn,
@@ -466,12 +463,12 @@ class CacheFTL(HybridFTL):
             if pbn is None:
                 return None
             offset = self._offset_of(lbn)
-            if self.chip.block(pbn).pages[offset].state is not PageState.VALID:
+            if not self.chip.block(pbn).valid_bits >> offset & 1:
                 return None
             ppn = self.chip.geometry.make_ppn(pbn, offset)
         pbn = self.chip.geometry.ppn_to_pbn(ppn)
         offset = self.chip.geometry.ppn_to_offset(ppn)
-        if self.chip.block(pbn).pages[offset].state is not PageState.VALID:
+        if not self.chip.block(pbn).valid_bits >> offset & 1:
             return None
         return pbn, offset, ppn
 
@@ -481,8 +478,7 @@ class CacheFTL(HybridFTL):
         if location is None:
             return False
         pbn, offset, _ppn = location
-        page = self.chip.block(pbn).pages[offset]
-        return bool(page.oob is not None and page.oob.dirty)
+        return bool(self.chip.block(pbn).dirty_bits >> offset & 1)
 
     def set_clean(self, lbn: int) -> bool:
         """Clear the dirty flag on ``lbn``'s flash copy; True if present."""
@@ -506,10 +502,8 @@ class CacheFTL(HybridFTL):
             yield lbn
         for group, pbn in self.data_map.items():
             base = group * self.pages_per_block
-            block = self.chip.block(pbn)
-            for offset, page in enumerate(block.pages):
-                if page.state is PageState.VALID:
-                    yield base + offset
+            for offset in self.chip.block(pbn).valid_offsets():
+                yield base + offset
 
     def device_memory_bytes(self) -> int:
         """Modeled device DRAM (Table 4).

@@ -30,6 +30,15 @@ from repro.flash.timing import TimingModel
 from repro.sim.crash import CrashInjector, CrashPoint
 
 
+#: Width of each packed block-state bitmap: an INSERT_BLOCK record's
+#: ``extra`` holds the dirty bitmap in its low ``BITMAP_BITS`` bits and
+#: the valid bitmap above them, and a block entry's dirty bitmap costs
+#: 8 bytes of device memory (Table 4).  SSC erase blocks therefore have
+#: at most this many pages.
+BITMAP_BITS = 64
+BITMAP_MASK = (1 << BITMAP_BITS) - 1
+
+
 class RecordKind(Enum):
     """What a log record describes."""
 

@@ -30,32 +30,28 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.flash.block import BlockKind
-from repro.flash.page import Page, PageState
+from repro.flash.page import OOBData, PageState
 from repro.ssc.checkpoint import Checkpoint
-from repro.ssc.log import LogRecord, RecordKind
+from repro.ssc.log import BITMAP_BITS, BITMAP_MASK, LogRecord, RecordKind
 from repro.util.checksum import crc32_of_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssc.engine import CacheFTL
 
 
-_VALID_SHIFT = 64
-_LOW64 = (1 << 64) - 1
-
-
-def _page_intact(page: Page) -> bool:
-    """True if the page's OOB checksum matches its payload.
+def _page_intact(oob: Optional[OOBData], data) -> bool:
+    """True if a page's OOB checksum matches its payload.
 
     A torn program (power cut mid-write) or bit rot leaves a page whose
     stored checksum cannot verify; recovery must treat it as damaged and
     never surface its contents.  Pages stamped before checksums existed
     (``checksum is None``) are trusted, matching the log-record rule.
     """
-    if page.oob is None:
+    if oob is None:
         return False
-    if page.oob.checksum is None:
+    if oob.checksum is None:
         return True
-    return page.oob.checksum == crc32_of_payload(page.oob.lbn, page.data)
+    return oob.checksum == crc32_of_payload(oob.lbn, data)
 
 
 @dataclass
@@ -112,8 +108,8 @@ def _apply(state: RecoveredState, record: LogRecord, pages_per_block: int) -> No
     elif kind is RecordKind.INSERT_BLOCK:
         state.block_entries[record.lbn] = _BlockEntry(
             pbn=record.ppn,
-            dirty_bitmap=record.extra & _LOW64,
-            valid_bitmap=record.extra >> _VALID_SHIFT,
+            dirty_bitmap=record.extra & BITMAP_MASK,
+            valid_bitmap=record.extra >> BITMAP_BITS,
         )
     elif kind is RecordKind.REMOVE_BLOCK:
         entry = state.block_entries.get(record.lbn)
@@ -149,7 +145,6 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     are reset.
     """
     chip = engine.chip
-    geometry = chip.geometry
 
     expected_pages: Dict[int, Tuple[int, bool]] = {
         ppn: (lbn, dirty) for lbn, (ppn, dirty) in state.page_entries.items()
@@ -185,16 +180,17 @@ def materialize(engine: "CacheFTL", state: RecoveredState) -> None:
     # can never route reads to some other block's data.
     engine.log_map.inner = type(engine.log_map.inner)()
     for lbn, (ppn, _dirty) in state.page_entries.items():
-        page = chip.page(ppn)
+        oob = chip.page_oob[ppn]
         if (
-            page.state is PageState.VALID
-            and page.oob is not None
-            and page.oob.lbn == lbn
+            chip.page_state[ppn] == PageState.VALID
+            and oob is not None
+            and oob.lbn == lbn
         ):
             engine.log_map.inner.insert(lbn, ppn)
     engine.data_map.inner = type(engine.data_map.inner)()
     for group, entry in state.block_entries.items():
-        engine.data_map.inner.insert(group, entry.pbn)
+        if chip.blocks[entry.pbn].kind is BlockKind.DATA:
+            engine.data_map.inner.insert(group, entry.pbn)
     engine.data_map.rebuild_reverse()
 
 
@@ -248,39 +244,46 @@ def recover_device(ssc) -> float:
 
 def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
                      log_blocks) -> None:
-    chip = engine.chip
-    geometry = chip.geometry
-    block.valid_count = 0
-    block.dirty_count = 0
+    """Rewrite one block's page states to match the recovered mapping.
 
-    if block.pbn in expected_blocks:
+    Sets each programmed page VALID or INVALID (and a valid page's dirty
+    flag) directly in the columns, then rebuilds the block's counters
+    and bitmaps with :meth:`~repro.flash.block.EraseBlock.recount`.
+    """
+    state = block.page_state
+    data = block.page_data
+    oob_column = block.page_oob
+    base = block.base
+    programmed = block.programmed_offsets()
+
+    # A block entry whose block holds no programmed page is stale: the
+    # block was erased after the entry was journaled, and the record
+    # retiring the entry was lost with a damaged log tail.  The block
+    # stays in the free pool and materialize() drops the entry, so the
+    # group can never map onto a block reused for other data.
+    if block.pbn in expected_blocks and programmed:
         group, entry = expected_blocks[block.pbn]
-        base = group * engine.pages_per_block
+        lbn_base = group * engine.pages_per_block
         block.kind = BlockKind.DATA
-        for offset, page in enumerate(block.pages):
-            if page.oob is None:
-                continue  # hole: never programmed since last erase
+        for offset in programmed:
+            index = base + offset
+            oob = oob_column[index]
             # The OOB reverse map must agree with the forward mapping:
             # a stale block entry (recovered from an old checkpoint over
             # a gapped log) may reference a block since erased and
             # reused, whose pages now hold other logical blocks' data.
             if (
                 entry.valid_bitmap >> offset & 1
-                and page.oob.lbn == base + offset
-                and _page_intact(page)
+                and oob.lbn == lbn_base + offset
+                and _page_intact(oob, data[index])
             ):
-                page.state = PageState.VALID
-                page.oob.dirty = bool(entry.dirty_bitmap >> offset & 1)
-                block.valid_count += 1
-                if page.oob.dirty:
-                    block.dirty_count += 1
+                state[index] = PageState.VALID
+                oob.dirty = bool(entry.dirty_bitmap >> offset & 1)
             else:
-                page.state = PageState.INVALID
+                state[index] = PageState.INVALID
+        block.recount()
         return
 
-    programmed = [
-        (offset, page) for offset, page in enumerate(block.pages) if page.oob is not None
-    ]
     if not programmed:
         # Fully erased.  It may have been allocated (e.g. a just-opened
         # log block whose first write never happened); return it to the
@@ -289,6 +292,7 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
         block.write_pointer = 0
         block.sequential = True
         block.first_lbn = None
+        block.recount()
         if not plane.is_free(block.pbn):
             plane.release(block)
         return
@@ -298,18 +302,17 @@ def _reconcile_block(engine, plane, block, expected_pages, expected_blocks,
     # record was lost with the log buffer — become invalid, exactly the
     # "as if silently evicted" semantics write-clean promises.
     oldest_seq = None
-    for offset, page in programmed:
-        ppn = geometry.make_ppn(block.pbn, offset)
-        expected = expected_pages.get(ppn)
-        if expected is not None and page.oob.lbn == expected[0] and _page_intact(page):
-            page.state = PageState.VALID
-            page.oob.dirty = expected[1]
-            block.valid_count += 1
-            if page.oob.dirty:
-                block.dirty_count += 1
+    for offset in programmed:
+        index = base + offset
+        oob = oob_column[index]
+        expected = expected_pages.get(index)
+        if expected is not None and oob.lbn == expected[0] and _page_intact(oob, data[index]):
+            state[index] = PageState.VALID
+            oob.dirty = expected[1]
         else:
-            page.state = PageState.INVALID
-        if oldest_seq is None or page.oob.seq < oldest_seq:
-            oldest_seq = page.oob.seq
+            state[index] = PageState.INVALID
+        if oldest_seq is None or oob.seq < oldest_seq:
+            oldest_seq = oob.seq
     block.kind = BlockKind.LOG
+    block.recount()
     log_blocks.append((oldest_seq or 0, block.pbn))

@@ -70,16 +70,16 @@ class TestOOBChecksumStamping:
         ssc = SolidStateCache.ssc(small_geometry)
         ssc.write_dirty(7, ("payload", 7))
         location = ssc.engine.current_location(7)
-        page = ssc.chip.page(location[2])
-        assert page.oob.checksum == crc32_of_payload(7, ("payload", 7))
+        oob = ssc.chip.page_oob[location[2]]
+        assert oob.checksum == crc32_of_payload(7, ("payload", 7))
 
     def test_corruption_breaks_checksum(self, small_geometry):
         ssc = SolidStateCache.ssc(small_geometry)
         ssc.write_dirty(7, ("payload", 7))
-        location = ssc.engine.current_location(7)
-        page = ssc.chip.page(location[2])
-        page.data = ("CORRUPT",)
-        assert page.oob.checksum != crc32_of_payload(page.oob.lbn, page.data)
+        ppn = ssc.engine.current_location(7)[2]
+        ssc.chip.page_data[ppn] = ("CORRUPT",)
+        oob = ssc.chip.page_oob[ppn]
+        assert oob.checksum != crc32_of_payload(oob.lbn, ssc.chip.page_data[ppn])
 
 
 def make_manager(verify=True):
@@ -126,7 +126,7 @@ class TestWritebackVerification:
         manager.write(5, ("good", 5))
         # Simulate device-side corruption of the cached page.
         location = ssc.engine.current_location(5)
-        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        ssc.chip.page_data[location[2]] = ("CORRUPT",)
         with pytest.raises(ChecksumError) as exc:
             manager.flush_dirty()
         assert exc.value.lbn == 5
@@ -136,6 +136,6 @@ class TestWritebackVerification:
         manager, ssc, disk = make_manager(verify=False)
         manager.write(5, ("good", 5))
         location = ssc.engine.current_location(5)
-        ssc.chip.page(location[2]).data = ("CORRUPT",)
+        ssc.chip.page_data[location[2]] = ("CORRUPT",)
         manager.flush_dirty()  # no verification: propagates silently
         assert disk.peek(5) == ("CORRUPT",)

@@ -1,28 +1,39 @@
-"""Unit tests for pages and erase blocks (NAND constraints)."""
+"""Unit tests for erase blocks and their page columns (NAND constraints)."""
 
 import pytest
 
-from repro.errors import WriteToNonErasedPageError
+from repro.errors import FlashStateError, WriteToNonErasedPageError
 from repro.flash.block import BlockKind, EraseBlock
-from repro.flash.page import OOBData, Page, PageState
+from repro.flash.page import OOBData, PageState
 
 
-class TestPage:
-    def test_fresh_page_is_free(self):
-        page = Page()
-        assert page.state is PageState.FREE
-        assert page.data is None
-        assert page.oob is None
+class TestColumns:
+    def test_fresh_block_is_erased(self):
+        block = EraseBlock(0, 4)
+        assert list(block.page_state) == [PageState.FREE] * 4
+        assert block.page_data == [None] * 4
+        assert block.page_oob == [None] * 4
+        assert block.valid_bits == block.dirty_bits == 0
 
-    def test_reset(self):
-        page = Page()
-        page.state = PageState.VALID
-        page.data = "x"
-        page.oob = OOBData(lbn=1)
-        page.reset()
-        assert page.state is PageState.FREE
-        assert page.data is None
-        assert page.oob is None
+    def test_erase_resets_columns(self):
+        block = EraseBlock(0, 4)
+        block.program(0, "x", OOBData(lbn=1, dirty=True))
+        block.erase()
+        assert block.page_state[0] == PageState.FREE
+        assert block.page_data[0] is None
+        assert block.page_oob[0] is None
+
+    def test_chip_blocks_share_columns(self):
+        columns = (bytearray(8), [None] * 8, [None] * 8)
+        first = EraseBlock(0, 4, columns)
+        second = EraseBlock(1, 4, columns)
+        second.program(0, "x", OOBData(lbn=9))
+        assert second.base == 4
+        assert columns[0][4] == PageState.VALID
+        assert columns[1][4] == "x"
+        assert first.page_state[0] == PageState.FREE
+        second.erase()
+        assert columns[1] == [None] * 8
 
 
 class TestProgram:
@@ -47,8 +58,8 @@ class TestProgram:
         block.program(0, "a", OOBData(lbn=0))
         block.program(3, "b", OOBData(lbn=3))
         assert block.write_pointer == 4
-        assert block.pages[1].state is PageState.FREE
-        assert block.pages[2].state is PageState.FREE
+        assert block.page_state[1] == PageState.FREE
+        assert block.page_state[2] == PageState.FREE
         assert block.valid_count == 2
 
     def test_skip_breaks_sequentiality(self):
@@ -92,7 +103,7 @@ class TestInvalidateAndDirty:
         block.invalidate(0)
         assert block.valid_count == 0
         assert block.dirty_count == 0
-        assert block.pages[0].state is PageState.INVALID
+        assert block.page_state[0] == PageState.INVALID
 
     def test_invalidate_idempotent(self):
         block = EraseBlock(0, 4)
@@ -106,7 +117,7 @@ class TestInvalidateAndDirty:
         block.program(0, "d", OOBData(lbn=0, dirty=True))
         block.mark_clean(0)
         assert block.dirty_count == 0
-        assert not block.pages[0].oob.dirty
+        assert not block.page_oob[0].dirty
         block.mark_dirty(0)
         assert block.dirty_count == 1
 
@@ -144,7 +155,7 @@ class TestErase:
         assert block.dirty_count == 0
         assert block.kind is BlockKind.FREE
         assert block.sequential
-        assert all(page.state is PageState.FREE for page in block.pages)
+        assert all(state == PageState.FREE for state in block.page_state)
 
     def test_wear_accumulates(self):
         block = EraseBlock(0, 4)
@@ -157,4 +168,76 @@ class TestErase:
         block.program(0, "a", OOBData(lbn=0))
         block.erase()
         block.program(0, "b", OOBData(lbn=1))
-        assert block.pages[0].data == "b"
+        assert block.page_data[0] == "b"
+
+
+class TestBitmaps:
+    def test_program_sets_bits(self):
+        block = EraseBlock(0, 4)
+        block.program(0, "a", OOBData(lbn=0, dirty=True))
+        block.program(2, "b", OOBData(lbn=2))
+        assert block.valid_bits == 0b101
+        assert block.dirty_bits == 0b001
+
+    def test_invalidate_and_clean_clear_bits(self):
+        block = EraseBlock(0, 4)
+        block.program(0, "a", OOBData(lbn=0, dirty=True))
+        block.program(1, "b", OOBData(lbn=1, dirty=True))
+        block.invalidate(0)
+        block.mark_clean(1)
+        assert block.valid_bits == 0b10
+        assert block.dirty_bits == 0
+
+    def test_mark_dirty_on_invalid_page_sets_no_bit(self):
+        block = EraseBlock(0, 4)
+        block.program(0, "a", OOBData(lbn=0))
+        block.invalidate(0)
+        block.mark_dirty(0)
+        assert block.page_oob[0].dirty
+        assert block.dirty_bits == 0
+        assert block.dirty_count == 0
+
+    def test_torn_program_is_valid_and_clean(self):
+        block = EraseBlock(0, 4)
+        block.kind = BlockKind.LOG
+        block.program_torn(1)
+        assert block.valid_bits == 0b10
+        assert block.dirty_bits == 0
+        assert block.write_pointer == 2
+        block.audit()
+
+    def test_valid_offsets_is_a_snapshot(self):
+        block = EraseBlock(0, 8)
+        for offset in range(8):
+            block.program(offset, "d", OOBData(lbn=offset))
+        for offset in block.valid_offsets():
+            block.invalidate(offset)
+        assert block.valid_count == 0
+
+
+class TestRecountAndAudit:
+    def test_recount_rebuilds_from_columns(self):
+        block = EraseBlock(0, 4)
+        block.kind = BlockKind.LOG
+        block.program(0, "a", OOBData(lbn=0, dirty=True))
+        block.program(1, "b", OOBData(lbn=1, dirty=True))
+        block.page_state[0] = PageState.INVALID
+        block.recount()
+        assert (block.valid_count, block.dirty_count) == (1, 1)
+        assert (block.valid_bits, block.dirty_bits) == (0b10, 0b10)
+        block.audit()
+
+    def test_audit_names_a_corrupt_counter(self):
+        block = EraseBlock(7, 4)
+        block.program(0, "a", OOBData(lbn=0))
+        block.valid_count += 1
+        with pytest.raises(FlashStateError, match="block 7: valid_count"):
+            block.audit()
+
+    def test_audit_catches_page_past_write_pointer(self):
+        block = EraseBlock(0, 4)
+        block.kind = BlockKind.LOG
+        block.program(0, "a", OOBData(lbn=0))
+        block.write_pointer = 0
+        with pytest.raises(FlashStateError, match="write pointer"):
+            block.audit()

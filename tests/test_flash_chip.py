@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import InvalidAddressError, WriteToNonErasedPageError
+from repro.errors import CrashError, InvalidAddressError, WriteToNonErasedPageError
 from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.flash.page import OOBData, PageState
+from repro.sim.crash import CrashInjector, CrashPoint
 
 
 @pytest.fixture
@@ -78,7 +79,7 @@ class TestChipOperations:
         cost = tiny_chip.erase_block(block.pbn)
         assert cost == pytest.approx(tiny_chip.timing.erase_cost())
         assert plane.free_count == free_before + 1
-        assert tiny_chip.page(ppn).state is PageState.FREE
+        assert tiny_chip.page_state[ppn] == PageState.FREE
 
     def test_stats_accumulate(self, tiny_chip):
         tiny_chip.program_page(0, "x", OOBData(lbn=0))
@@ -120,3 +121,103 @@ class TestWearAccounting:
         assert tiny_chip.free_blocks_total() == total
         tiny_chip.planes[0].allocate(BlockKind.DATA)
         assert tiny_chip.free_blocks_total() == total - 1
+
+
+class TestPlaneDetails:
+    def test_block_lookup(self, tiny_chip):
+        plane0 = tiny_chip.planes[0]
+        assert plane0.block(0) is tiny_chip.block(0)
+        with pytest.raises(InvalidAddressError):
+            plane0.block(4)  # block 4 lives on plane 1
+
+    def test_allocate_specific(self, tiny_chip):
+        plane = tiny_chip.planes[1]
+        block = plane.allocate_specific(6, BlockKind.DATA)
+        assert block.pbn == 6 and block.kind is BlockKind.DATA
+        assert tiny_chip.free_blocks_total() == tiny_chip.geometry.total_blocks - 1
+        with pytest.raises(InvalidAddressError):
+            plane.allocate_specific(6, BlockKind.DATA)
+
+    def test_wear_heaps_track_erase_counts(self, tiny_chip):
+        plane = tiny_chip.planes[0]
+        block = plane.allocate_specific(2, BlockKind.DATA)
+        tiny_chip.erase_block(block.pbn)
+        assert plane.most_worn_free() == 2
+        assert plane.least_worn_free() == 0
+        assert sorted(plane.free_pbns()) == [0, 1, 2, 3]
+
+    def test_reserve_queues_behind_busy_plane(self, tiny_chip):
+        plane = tiny_chip.planes[0]
+        assert plane.reserve(10.0, 5.0) == (10.0, 15.0)
+        assert plane.reserve(12.0, 5.0) == (15.0, 20.0)
+        plane.reset_busy()
+        assert plane.reserve(0.0, 1.0) == (0.0, 1.0)
+
+    def test_tracer_sees_alloc_and_release(self, tiny_chip):
+        events = []
+
+        class Recorder:
+            def emit(self, name, **fields):
+                events.append((name, fields["pbn"]))
+
+        plane = tiny_chip.planes[0]
+        plane.tracer = Recorder()
+        block = plane.allocate(BlockKind.LOG)
+        tiny_chip.erase_block(block.pbn)
+        plane.allocate_specific(1, BlockKind.DATA)
+        assert events == [
+            ("flash.alloc", block.pbn), ("flash.release", block.pbn),
+            ("flash.alloc", 1),
+        ]
+
+    def test_reprs(self, tiny_chip):
+        assert "free=8" in repr(tiny_chip)
+        assert repr(tiny_chip.planes[0]) == "Plane(id=0, blocks=4, free=4)"
+        assert "kind=FREE" in repr(tiny_chip.block(0))
+
+
+class TestChipDetails:
+    def test_program_ticks_both_boundaries(self, tiny_chip):
+        injector = CrashInjector()
+        tiny_chip.crash_injector = injector
+        tiny_chip.program_page(0, "x", OOBData(lbn=0))
+        assert injector.point_counts == {
+            CrashPoint.BEFORE_DATA_WRITE: 1, CrashPoint.AFTER_DATA_WRITE: 1,
+        }
+
+    def test_crash_after_program_keeps_the_page(self, tiny_chip):
+        injector = CrashInjector()
+        injector.arm(at=CrashPoint.AFTER_DATA_WRITE)
+        tiny_chip.crash_injector = injector
+        with pytest.raises(CrashError):
+            tiny_chip.program_page(0, "x", OOBData(lbn=0))
+        assert tiny_chip.read_page(0)[0] == "x"
+
+    def test_reprogram_of_invalid_page_rejected(self, tiny_chip):
+        tiny_chip.program_page(0, "x", OOBData(lbn=0))
+        block = tiny_chip.block(0)
+        block.invalidate(0)
+        block.write_pointer = 0  # pretend the pointer was lost
+        with pytest.raises(WriteToNonErasedPageError, match="INVALID, not FREE"):
+            tiny_chip.program_page(0, "y", OOBData(lbn=0))
+
+    def test_programmed_offsets(self, tiny_chip):
+        tiny_chip.program_page(1, "x", OOBData(lbn=1))
+        tiny_chip.program_page(3, "y", OOBData(lbn=3))
+        tiny_chip.block(0).invalidate(1)
+        assert tiny_chip.block(0).programmed_offsets() == [1, 3]
+
+    def test_out_of_range_page_rejected(self, tiny_chip):
+        with pytest.raises(InvalidAddressError):
+            tiny_chip.read_page(tiny_chip.geometry.total_pages)
+        with pytest.raises(InvalidAddressError):
+            tiny_chip.scan_oob(-1)
+
+    def test_stats_snapshot_and_merge(self, tiny_chip):
+        tiny_chip.program_page(0, "x", OOBData(lbn=0))
+        snapshot = tiny_chip.stats.snapshot()
+        tiny_chip.read_page(0)
+        assert snapshot.page_reads == 0
+        merged = snapshot.merge(tiny_chip.stats)
+        assert (merged.page_writes, merged.page_reads) == (2, 1)
+        assert merged.busy_us == snapshot.busy_us + tiny_chip.stats.busy_us

@@ -64,9 +64,9 @@ class TestReadWrite:
         ftl = make_ftl()
         ftl.write(3, "x", dirty=True)
         ppn = ftl.page_map.lookup(3)
-        assert ftl.chip.page(ppn).oob.dirty
+        assert ftl.chip.page_oob[ppn].dirty
         ftl.set_page_dirty(3, False)
-        assert not ftl.chip.page(ppn).oob.dirty
+        assert not ftl.chip.page_oob[ppn].dirty
 
 
 class TestGarbageCollection:

@@ -26,8 +26,7 @@ class TestMaterialization:
         lost = ssc.crash()
         assert lost >= 1
         ssc.recover()
-        page = ssc.chip.page(ppn)
-        assert page.state is PageState.INVALID
+        assert ssc.chip.page_state[ppn] == PageState.INVALID
 
     def test_mapped_pages_stay_valid(self, ssc):
         ssc.write_dirty(100, "durable")
@@ -35,8 +34,8 @@ class TestMaterialization:
         _pbn, _offset, ppn = location
         ssc.crash()
         ssc.recover()
-        assert ssc.chip.page(ppn).state is PageState.VALID
-        assert ssc.chip.page(ppn).oob.dirty
+        assert ssc.chip.page_state[ppn] == PageState.VALID
+        assert ssc.chip.page_oob[ppn].dirty
 
     def test_unwritten_allocated_block_returns_to_free_pool(self, ssc):
         """A log block opened but never programmed before the crash must
@@ -60,7 +59,10 @@ class TestMaterialization:
         oldest_seq = []
         for pbn in queue:
             block = ssc.chip.block(pbn)
-            seqs = [p.oob.seq for p in block.pages if p.oob is not None]
+            seqs = [
+                ssc.chip.page_oob[block.base + offset].seq
+                for offset in block.programmed_offsets()
+            ]
             oldest_seq.append(min(seqs))
         assert oldest_seq == sorted(oldest_seq)
 
@@ -83,14 +85,17 @@ class TestMaterialization:
             ssc.write_dirty(i % 150, i)
         ssc.crash()
         ssc.recover()
-        for plane in ssc.chip.planes:
+        chip = ssc.chip
+        for plane in chip.planes:
             for block in plane.blocks.values():
+                ppns = range(block.base, block.base + block.num_pages)
                 valid = sum(
-                    1 for p in block.pages if p.state is PageState.VALID
+                    1 for ppn in ppns if chip.page_state[ppn] == PageState.VALID
                 )
                 dirty = sum(
-                    1 for p in block.pages
-                    if p.state is PageState.VALID and p.oob and p.oob.dirty
+                    1 for ppn in ppns
+                    if chip.page_state[ppn] == PageState.VALID
+                    and chip.page_oob[ppn] and chip.page_oob[ppn].dirty
                 )
                 assert block.valid_count == valid, block
                 assert block.dirty_count == dirty, block

@@ -216,3 +216,89 @@ class TestSingleSamplePercentiles:
         assert format_percentiles(latency) == [
             ("p50", "n/a"), ("p90", "n/a"), ("p99", "n/a"),
         ]
+
+
+class TestSSCBlockBitmapWidth:
+    """SSC block-map entries journal their dirty and valid bitmaps packed
+    in 64 bits each.  A 128-page SSC block lost the dirty state of its
+    upper pages across crash + recover (1,536 dirty writes came back as
+    832 dirty blocks), so the write-back manager never wrote the rest
+    back.  SSC and SSC-R systems now reject blocks over 64 pages when
+    they are built; native systems keep any size."""
+
+    @staticmethod
+    def config(kind, shards=1, pages_per_block=128):
+        from repro.core.config import CacheMode, SystemConfig
+        return SystemConfig(
+            kind=kind, mode=CacheMode.WRITE_BACK, cache_blocks=4096,
+            disk_blocks=1 << 16, pages_per_block=pages_per_block,
+            shards=shards,
+        )
+
+    def test_ssc_with_128_page_blocks_rejected(self):
+        import pytest
+        from repro.core.config import SystemKind
+        from repro.core.flashtier import build_system
+        from repro.errors import ConfigError
+        for kind in (SystemKind.SSC, SystemKind.SSC_R):
+            for shards in (1, 2):
+                with pytest.raises(ConfigError, match="at most 64 pages"):
+                    build_system(self.config(kind, shards))
+
+    def test_native_keeps_128_page_blocks(self):
+        from repro.core.config import SystemKind
+        from repro.core.flashtier import build_system
+        system = build_system(self.config(SystemKind.NATIVE))
+        assert system.device.chip.geometry.pages_per_block == 128
+
+    def test_64_page_ssc_keeps_every_dirty_block(self):
+        from repro.core.config import SystemKind
+        from repro.core.flashtier import build_system
+        system = build_system(
+            self.config(SystemKind.SSC, pages_per_block=64)
+        )
+        ssc = system.ssc
+        for lbn in range(1536):
+            ssc.write_dirty(lbn, ("w", lbn))
+        ssc.crash()
+        ssc.recover()
+        assert sum(ssc.is_dirty(lbn) for lbn in range(1536)) == 1536
+        ssc.chip.audit()
+
+
+class TestStaleBlockEntryAfterLogBitRot:
+    """A flipped bit in the flushed log makes recovery discard the log
+    tail, which can drop the record retiring a block-map entry whose
+    block was since erased.  Recovery used to install that stale entry
+    and mark the erased block DATA while it stayed in the free pool, so
+    the group mapped onto a block that the next allocation would fill
+    with other data.  Found by the flash-state audit in the crash
+    explorer's bit-flip trials (seed 0, 150 ops, trials 6 and 9)."""
+
+    def test_recovered_entries_never_map_free_blocks(self):
+        from repro.check import faults
+        from repro.check.explorer import build_device, run_workload
+        from repro.check.oracle import SSCOracle
+        from repro.check.workload import generate_workload
+        from repro.sim.crash import CrashInjector
+
+        workload = generate_workload(150, 0, lbn_range=64)
+        baseline = build_device()
+        counter = CrashInjector()
+        baseline.attach_injector(counter)
+        run_workload(baseline, SSCOracle(), workload, [])
+        for index in (6, 9):
+            rng = random.Random(index)
+            boundary = 1 + rng.randrange(counter.ticks)
+            ssc = build_device()
+            injector = CrashInjector()
+            ssc.attach_injector(injector)
+            injector.arm(after_events=boundary - 1)
+            if not run_workload(ssc, SSCOracle(), workload, []):
+                injector.disarm()
+                ssc.crash()
+            assert faults.flip_log_record(ssc, rng)
+            ssc.recover()
+            for _group, pbn in ssc.engine.data_map.items():
+                assert not ssc.chip.plane_of_block(pbn).is_free(pbn)
+            ssc.chip.audit()

@@ -30,6 +30,7 @@ from repro.check.explorer import (
 )
 from repro.check.oracle import SSCOracle
 from repro.check.workload import generate_workload
+from repro.flash.page import PageState
 from repro.sim.crash import CrashInjector
 
 SHARDS = 3
@@ -39,12 +40,12 @@ TARGET = 1  # the member that takes the torn write
 def durable_fingerprint(ssc):
     """Byte-level identity of one member's durable state: every flash
     page (state, payload, OOB), the flushed log, and the checkpoints."""
+    chip = ssc.chip
     pages = tuple(
-        (plane.plane_id, pbn, index, page.state.name,
-         repr(page.data), repr(page.oob))
-        for plane in ssc.chip.planes
-        for pbn, block in sorted(plane.blocks.items())
-        for index, page in enumerate(block.pages)
+        (ppn, PageState(state).name, repr(data), repr(oob))
+        for ppn, (state, data, oob) in enumerate(
+            zip(chip.page_state, chip.page_data, chip.page_oob)
+        )
     )
     log = tuple(repr(record) for record in ssc.oplog.flushed)
     checkpoint = ssc.checkpoints.latest()

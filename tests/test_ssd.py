@@ -29,7 +29,7 @@ class TestInterface:
         ssd.write(1, "x", dirty=True)
         ssd.set_page_dirty(1, False)
         ppn = ssd.ftl.log_map.lookup(1)
-        assert not ssd.chip.page(ppn).oob.dirty
+        assert not ssd.chip.page_oob[ppn].dirty
 
 
 class TestRecoveryAccounting:

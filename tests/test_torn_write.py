@@ -35,21 +35,18 @@ class TestTornDataPage:
         with pytest.raises(CrashError):
             ssc.write_dirty(3, "v1")
         # The partial program left detectable garbage on flash...
+        chip = ssc.chip
         torn_pages = [
-            page
-            for plane in ssc.chip.planes
-            for block in plane.blocks.values()
-            for page in block.pages
-            if page.data == TORN_PAGE
+            ppn for ppn, data in enumerate(chip.page_data) if data == TORN_PAGE
         ]
         assert len(torn_pages) == 1
-        assert torn_pages[0].oob.checksum == 0  # can never verify
+        assert chip.page_oob[torn_pages[0]].checksum == 0  # can never verify
         # ...but recovery discards it: the block is absent and the torn
         # page is not part of any mapping.
         ssc.recover()
         with pytest.raises(NotPresentError):
             ssc.read(3)
-        assert torn_pages[0].state is PageState.INVALID
+        assert chip.page_state[torn_pages[0]] == PageState.INVALID
 
     def test_torn_page_advances_write_pointer(self, small_geometry):
         """NAND cannot reprogram a torn page without an erase; the device
@@ -157,9 +154,9 @@ class TestBitFlips:
         ssc, _injector = make_ssc(small_geometry)
         ssc.write_dirty(3, "v1")
         ssc.crash()
-        location = ssc.engine.current_location(3)
-        page = ssc.chip.page(location[2])
-        page.data = ("<bitrot>", page.data)  # checksum now stale
+        ppn = ssc.engine.current_location(3)[2]
+        # The checksum is now stale.
+        ssc.chip.page_data[ppn] = ("<bitrot>", ssc.chip.page_data[ppn])
         ssc.recover()
         # The damaged page must not be mapped; absence is the only
         # correct answer (the cache has no redundant copy).
