@@ -31,8 +31,8 @@ from repro.traces.record import TraceRecord
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
-def _queue_depth(text: str) -> int:
-    """argparse type of ``--queue-depth``: an integer >= 1."""
+def _positive_int(text: str) -> int:
+    """argparse type of ``--queue-depth`` and ``--top``: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -377,13 +377,14 @@ def cmd_trace_report(args) -> int:
 
     try:
         events = load_events(args.events)
+        summary = summarize(events)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not events:
         print("trace is empty", file=sys.stderr)
         return 1
-    print(format_report(summarize(events), top=args.top))
+    print(format_report(summary, top=args.top))
     return 0
 
 
@@ -477,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--warmup", type=_warmup_fraction, default=0.15)
     replay.add_argument("--no-consistency", action="store_true")
     replay.add_argument(
-        "--queue-depth", type=_queue_depth, default=1,
+        "--queue-depth", type=_positive_int, default=1,
         help="outstanding requests in closed-loop replay (default 1)",
     )
     replay.add_argument(
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--metrics", default=None, metavar="FILE",
-        help="write the metrics-registry snapshot (JSON) to FILE",
+        help="write the metrics snapshot (JSON) to FILE",
     )
     replay.set_defaults(func=cmd_replay)
 
@@ -512,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_report.add_argument("events", help="JSONL file from --events-out")
     trace_report.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_positive_int, default=10,
         help="rows in the top-GC-cost table (default 10)",
     )
     trace_report.set_defaults(func=cmd_trace_report)

@@ -31,11 +31,12 @@ from repro.sim.completion import (
     shard_plane_resource,
 )
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.stats.counters import FieldwiseSum
 from repro.util.checksum import crc32_of_payload
 
 
 @dataclass
-class FlashStats:
+class FlashStats(FieldwiseSum):
     """Cumulative operation counts for one chip."""
 
     page_reads: int = 0
@@ -43,25 +44,6 @@ class FlashStats:
     block_erases: int = 0
     oob_scans: int = 0
     busy_us: float = 0.0
-
-    def snapshot(self) -> "FlashStats":
-        """Return an independent copy (for before/after deltas)."""
-        return FlashStats(
-            page_reads=self.page_reads,
-            page_writes=self.page_writes,
-            block_erases=self.block_erases,
-            oob_scans=self.oob_scans,
-            busy_us=self.busy_us,
-        )
-
-    def merge(self, other: "FlashStats") -> "FlashStats":
-        """Field-wise sum — aggregates the chips of a sharded array.
-
-        Commutative and associative, with ``FlashStats()`` as the unit.
-        """
-        return FlashStats(
-            **{name: getattr(self, name) + getattr(other, name) for name in vars(self)}
-        )
 
 
 class FlashChip:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.stats.counters import FieldwiseSum
+
 
 @dataclass
-class FTLStats:
+class FTLStats(FieldwiseSum):
     """Cumulative FTL-level activity counters."""
 
     user_reads: int = 0
@@ -33,31 +35,3 @@ class FTLStats:
         if self.user_writes == 0:
             return 0.0
         return self.gc_page_writes / self.user_writes
-
-    def snapshot(self) -> "FTLStats":
-        """Independent copy, for before/after deltas in benchmarks."""
-        return FTLStats(**vars(self))
-
-    def delta(self, earlier: "FTLStats") -> "FTLStats":
-        """Return self - earlier, field-wise."""
-        return FTLStats(
-            **{
-                name: getattr(self, name) - getattr(earlier, name)
-                for name in vars(self)
-            }
-        )
-
-    def merge(self, other: "FTLStats") -> "FTLStats":
-        """Return self + other, field-wise.
-
-        Aggregates the per-shard device statistics of a sharded cache
-        array into one array-level view; ratios (write amplification)
-        are then computed over the summed counters.  Commutative and
-        associative, with ``FTLStats()`` as the unit.
-        """
-        return FTLStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in vars(self)
-            }
-        )

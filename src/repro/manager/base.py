@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.sim.completion import Completion, OpRecorder
+from repro.stats.counters import FieldwiseSum
 
 
 @dataclass
-class ManagerStats:
+class ManagerStats(FieldwiseSum):
     """Hit/miss accounting at the cache-manager level."""
 
     reads: int = 0
@@ -38,21 +39,6 @@ class ManagerStats:
         """Read miss rate in percent."""
         lookups = self.read_hits + self.read_misses
         return 100.0 * self.read_misses / lookups if lookups else 0.0
-
-    def merge(self, other: "ManagerStats") -> "ManagerStats":
-        """Return self + other, field-wise.
-
-        Aggregates per-shard (or per-manager) hit/miss accounting into
-        one array-level view; ``miss_rate`` is then the rate over the
-        combined request stream.  Commutative and associative, with
-        ``ManagerStats()`` as the unit.
-        """
-        return ManagerStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in vars(self)
-            }
-        )
 
 
 class CacheManager(ABC):

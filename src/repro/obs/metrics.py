@@ -1,162 +1,152 @@
-"""The metrics registry: named counters, gauges and histograms.
+"""The metric catalog, the snapshot, and :func:`collect`.
 
-The simulator already keeps excellent numbers — ``FTLStats``,
-``ManagerStats``, ``FlashStats``, ``ReplayStats``, the log and
-checkpoint counters — but they live in per-layer dataclasses with
-per-layer ``to_dict`` spellings.  The registry puts one namespaced
-facade over all of them: every metric is *declared* with a kind and a
-prose description (:mod:`repro.obs.catalog`), populated from the
-authoritative layer counters after a run, and exported as a
-:class:`MetricsSnapshot`.
+Mirrors :mod:`repro.obs.events` for metrics: a metric exists only with
+a declaration — name, kind and a prose description — and the catalog
+is what ``python -m repro obs schema --markdown`` renders into
+``docs/metrics.md``.
+
+The layer dataclasses (:class:`~repro.manager.base.ManagerStats`,
+:class:`~repro.ftl.base.FTLStats`, :class:`~repro.flash.chip.FlashStats`,
+the log/checkpoint counters, :class:`~repro.stats.counters.ReplayStats`)
+are the only accumulators — the hot paths bump plain attributes.
+:func:`collect` reads each cataloged metric straight from its layer
+after a run: the prefix of a metric's name picks the layer and the
+rest is the attribute, so exporting metrics costs nothing while the
+simulation executes.
 
 Snapshots form the same commutative monoid the sharded stat merges
 do: ``merge`` adds two snapshots (shard A + shard B = array),
 ``diff`` subtracts a baseline (after - before = this phase), and the
 empty snapshot is the identity.  The hypothesis tests in
-``tests/test_obs_metrics.py`` pin those laws.
-
-Histograms use fixed upper-bound buckets (Prometheus ``le``
-semantics: a sample lands in the first bucket whose bound is >= the
-value, or in the overflow bucket).  Fixed bounds are what make
-``merge`` well-defined — two histograms merge by adding counts only
-when their bounds agree.
+``tests/test_obs_metrics.py`` pin those laws.  Histograms use fixed
+``le`` bucket bounds (:meth:`~repro.stats.counters.LatencyStats.histogram`);
+fixed bounds are what make ``merge`` well-defined — two histograms
+merge by adding counts only when their bounds agree.
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from repro.stats.counters import LatencyStats
+
+#: Fixed latency histogram bucket upper bounds, in microseconds.  The
+#: range spans a flash page read (~an SSC hit) through multi-disk-seek
+#: misses; fixed bounds keep cross-run and cross-shard merges exact.
+LATENCY_BUCKETS_US: Tuple[float, ...] = (
+    50.0, 100.0, 200.0, 500.0, 1000.0,
+    2000.0, 5000.0, 10000.0, 20000.0, 50000.0,
+)
+
+#: (name, kind, description) for every declared metric, in the order
+#: ``docs/metrics.md`` lists them.  Histograms carry their bounds as a
+#: fourth element.  ``<layer>.<attribute>``: :func:`collect` reads
+#: ``attribute`` from the layer's stats source(s).
+METRICS: List[Tuple] = [
+    # ---- cache manager (hit/miss accounting above the device) --------
+    ("manager.reads", "counter",
+     "Read requests the cache manager served."),
+    ("manager.writes", "counter",
+     "Write requests the cache manager served."),
+    ("manager.read_hits", "counter",
+     "Reads served from the cache device."),
+    ("manager.read_misses", "counter",
+     "Reads that had to go to disk."),
+    ("manager.writebacks", "counter",
+     "Dirty blocks written back to disk."),
+    ("manager.cleans", "counter",
+     "clean commands issued to the SSC (write-back manager)."),
+    ("manager.evictions", "counter",
+     "Manager-initiated evictions (native manager replacement)."),
+    ("manager.metadata_writes", "counter",
+     "Persisted manager-metadata updates (native write-back mode)."),
+    # ---- FTL / cache engine ------------------------------------------
+    ("ftl.user_reads", "counter",
+     "Page reads performed on behalf of user requests."),
+    ("ftl.user_writes", "counter",
+     "Page programs performed on behalf of user requests."),
+    ("ftl.gc_page_reads", "counter",
+     "Page reads garbage-collection merges performed."),
+    ("ftl.gc_page_writes", "counter",
+     "Page programs garbage-collection merges performed; "
+     "gc_page_writes / user_writes is the write amplification of "
+     "Table 5."),
+    ("ftl.meta_page_writes", "counter",
+     "Flash pages written for durability metadata (operation log + "
+     "checkpoints)."),
+    ("ftl.full_merges", "counter",
+     "Full merges: every live page of the erase group copied."),
+    ("ftl.switch_merges", "counter",
+     "Switch merges: a sequentially written log block promoted in "
+     "place, zero copies."),
+    ("ftl.partial_merges", "counter",
+     "Partial merges: the sequential log block's tail completed before "
+     "promotion."),
+    ("ftl.silent_evictions", "counter",
+     "Erase blocks the SSC reclaimed by dropping clean data instead of "
+     "copying it (SE-Util / SE-Merge)."),
+    ("ftl.evicted_valid_pages", "counter",
+     "Live (clean) pages discarded by silent eviction."),
+    # ---- flash chip --------------------------------------------------
+    ("flash.page_reads", "counter",
+     "Physical page reads the chip executed."),
+    ("flash.page_writes", "counter",
+     "Physical page programs the chip executed."),
+    ("flash.block_erases", "counter",
+     "Physical block erases the chip executed (wear)."),
+    ("flash.oob_scans", "counter",
+     "Out-of-band area scans (native OOB recovery path)."),
+    ("flash.busy_us", "gauge",
+     "Total simulated time flash planes spent busy."),
+    # ---- operation log -----------------------------------------------
+    ("log.sync_flushes", "counter",
+     "Synchronous operation-log flushes (on the request path)."),
+    ("log.async_flushes", "counter",
+     "Asynchronous (group-commit) operation-log flushes."),
+    ("log.records_written", "counter",
+     "Mapping-change records made durable in the operation log."),
+    ("log.pages_written", "counter",
+     "Flash pages the operation log consumed."),
+    ("log.erases", "counter",
+     "Block erases spent recycling truncated log segments."),
+    # ---- checkpoints -------------------------------------------------
+    ("checkpoint.writes", "counter",
+     "Mapping checkpoints committed (alternating-slot writes)."),
+    ("checkpoint.pages_written", "counter",
+     "Flash pages consumed by checkpoint commits."),
+    # ---- replay-level results ----------------------------------------
+    ("replay.ops", "counter",
+     "Measured (post-warmup) trace requests replayed."),
+    ("replay.reads", "counter",
+     "Measured read requests replayed."),
+    ("replay.writes", "counter",
+     "Measured write requests replayed."),
+    ("replay.read_hits", "counter",
+     "Measured reads that hit the cache."),
+    ("replay.read_misses", "counter",
+     "Measured reads that missed to disk."),
+    ("replay.elapsed_us", "gauge",
+     "Simulated wall time of the measured window."),
+    ("replay.latency_us", "histogram",
+     "End-to-end request latency distribution over the measured window "
+     "(requires latency samples, i.e. keep_latencies=True).",
+     LATENCY_BUCKETS_US),
+    # ---- memory footprint (Table 4) ----------------------------------
+    ("memory.device_bytes", "gauge",
+     "Modeled device RAM for mapping state."),
+    ("memory.host_bytes", "gauge",
+     "Modeled host RAM the cache manager needs."),
+]
 
 
-class Counter:
-    """A monotonically increasing count (events, pages, erases)."""
-
-    kind = "counter"
-    __slots__ = ("name", "description", "value")
-
-    def __init__(self, name: str, description: str):
-        self.name = name
-        self.description = description
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def set(self, value: float) -> None:
-        """Overwrite the count (used when populating from layer stats)."""
-        self.value = float(value)
-
-
-class Gauge:
-    """A point-in-time level (bytes of metadata, utilization)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "description", "value")
-
-    def __init__(self, name: str, description: str):
-        self.name = name
-        self.description = description
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """Fixed-bucket distribution with ``le`` (inclusive upper bound)
-    semantics plus an overflow bucket.
-
-    ``counts`` has ``len(bounds) + 1`` entries; ``counts[i]`` is the
-    number of samples with ``bounds[i-1] < x <= bounds[i]`` and the
-    final entry counts samples above the last bound.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "description", "bounds", "counts", "count", "sum")
-
-    def __init__(self, name: str, description: str,
-                 bounds: Sequence[float]):
-        if not bounds:
-            raise ValueError(f"histogram {name!r} needs at least one "
-                             "bucket bound")
-        ordered = tuple(float(b) for b in bounds)
-        if list(ordered) != sorted(set(ordered)):
-            raise ValueError(
-                f"histogram {name!r} bounds must be strictly increasing"
-            )
-        self.name = name
-        self.description = description
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
-class MetricsRegistry:
-    """Holds declared metrics; the single place descriptions live.
-
-    Declaration order is preserved — it is the order ``docs/metrics.md``
-    renders.  Redeclaring a name, or declaring it with an empty
-    description, is an error: an undocumented metric must not exist.
-    """
-
-    def __init__(self):
-        self._metrics: Dict[str, Any] = {}
-
-    def _declare(self, metric) -> Any:
-        if metric.name in self._metrics:
-            raise ValueError(f"metric {metric.name!r} already declared")
-        if not metric.description:
-            raise ValueError(f"metric {metric.name!r} needs a description")
-        self._metrics[metric.name] = metric
-        return metric
-
-    def counter(self, name: str, description: str) -> Counter:
-        return self._declare(Counter(name, description))
-
-    def gauge(self, name: str, description: str) -> Gauge:
-        return self._declare(Gauge(name, description))
-
-    def histogram(self, name: str, description: str,
-                  bounds: Sequence[float]) -> Histogram:
-        return self._declare(Histogram(name, description, bounds))
-
-    def get(self, name: str) -> Any:
-        return self._metrics[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def snapshot(self) -> "MetricsSnapshot":
-        """Freeze current values into an immutable, mergeable snapshot."""
-        counters = {m.name: m.value for m in self if m.kind == "counter"}
-        gauges = {m.name: m.value for m in self if m.kind == "gauge"}
-        histograms = {
-            m.name: {
-                "bounds": list(m.bounds),
-                "counts": list(m.counts),
-                "count": m.count,
-                "sum": m.sum,
-            }
-            for m in self if m.kind == "histogram"
-        }
-        return MetricsSnapshot(counters, gauges, histograms)
+def _copy_histogram(hist: Mapping[str, Any], sign: int = 1) -> Dict[str, Any]:
+    return {
+        "bounds": list(hist["bounds"]),
+        "counts": [sign * count for count in hist["counts"]],
+        "count": sign * hist["count"],
+        "sum": sign * hist["sum"],
+    }
 
 
 class MetricsSnapshot:
@@ -178,13 +168,7 @@ class MetricsSnapshot:
         self.counters: Dict[str, float] = dict(counters or {})
         self.gauges: Dict[str, float] = dict(gauges or {})
         self.histograms: Dict[str, Dict[str, Any]] = {
-            name: {
-                "bounds": list(h["bounds"]),
-                "counts": list(h["counts"]),
-                "count": h["count"],
-                "sum": h["sum"],
-            }
-            for name, h in (histograms or {}).items()
+            name: _copy_histogram(h) for name, h in (histograms or {}).items()
         }
 
     @classmethod
@@ -193,40 +177,7 @@ class MetricsSnapshot:
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         """Pointwise sum of two snapshots (shards -> array)."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = gauges.get(name, 0.0) + value
-        histograms = {
-            name: {
-                "bounds": list(h["bounds"]),
-                "counts": list(h["counts"]),
-                "count": h["count"],
-                "sum": h["sum"],
-            }
-            for name, h in self.histograms.items()
-        }
-        for name, theirs in other.histograms.items():
-            mine = histograms.get(name)
-            if mine is None:
-                histograms[name] = {
-                    "bounds": list(theirs["bounds"]),
-                    "counts": list(theirs["counts"]),
-                    "count": theirs["count"],
-                    "sum": theirs["sum"],
-                }
-                continue
-            if list(mine["bounds"]) != list(theirs["bounds"]):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bucket bounds differ"
-                )
-            mine["counts"] = [a + b for a, b in
-                              zip(mine["counts"], theirs["counts"])]
-            mine["count"] += theirs["count"]
-            mine["sum"] += theirs["sum"]
-        return MetricsSnapshot(counters, gauges, histograms)
+        return self._combine(other, 1, "merge")
 
     def diff(self, baseline: "MetricsSnapshot") -> "MetricsSnapshot":
         """Pointwise subtraction: ``after.diff(before)`` isolates a phase.
@@ -234,52 +185,37 @@ class MetricsSnapshot:
         Inverse of ``merge``: ``a.merge(b).diff(b)`` equals ``a`` on
         every metric present in ``a``.
         """
-        counters = dict(self.counters)
-        for name, value in baseline.counters.items():
-            counters[name] = counters.get(name, 0.0) - value
-        gauges = dict(self.gauges)
-        for name, value in baseline.gauges.items():
-            gauges[name] = gauges.get(name, 0.0) - value
-        histograms = {
-            name: {
-                "bounds": list(h["bounds"]),
-                "counts": list(h["counts"]),
-                "count": h["count"],
-                "sum": h["sum"],
-            }
-            for name, h in self.histograms.items()
-        }
-        for name, theirs in baseline.histograms.items():
-            mine = histograms.get(name)
+        return self._combine(baseline, -1, "diff")
+
+    def _combine(self, other: "MetricsSnapshot", sign: int,
+                 verb: str) -> "MetricsSnapshot":
+        """``self + sign * other``, metric by metric."""
+        result = MetricsSnapshot(self.counters, self.gauges, self.histograms)
+        for mine, theirs in ((result.counters, other.counters),
+                             (result.gauges, other.gauges)):
+            for name, value in theirs.items():
+                mine[name] = mine.get(name, 0.0) + sign * value
+        for name, theirs in other.histograms.items():
+            mine = result.histograms.get(name)
             if mine is None:
-                histograms[name] = {
-                    "bounds": list(theirs["bounds"]),
-                    "counts": [-c for c in theirs["counts"]],
-                    "count": -theirs["count"],
-                    "sum": -theirs["sum"],
-                }
+                result.histograms[name] = _copy_histogram(theirs, sign)
                 continue
             if list(mine["bounds"]) != list(theirs["bounds"]):
                 raise ValueError(
-                    f"cannot diff histogram {name!r}: bucket bounds differ"
+                    f"cannot {verb} histogram {name!r}: bucket bounds differ"
                 )
-            mine["counts"] = [a - b for a, b in
+            mine["counts"] = [a + sign * b for a, b in
                               zip(mine["counts"], theirs["counts"])]
-            mine["count"] -= theirs["count"]
-            mine["sum"] -= theirs["sum"]
-        return MetricsSnapshot(counters, gauges, histograms)
+            mine["count"] += sign * theirs["count"]
+            mine["sum"] += sign * theirs["sum"]
+        return result
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
-                name: {
-                    "bounds": list(h["bounds"]),
-                    "counts": list(h["counts"]),
-                    "count": h["count"],
-                    "sum": h["sum"],
-                }
+                name: _copy_histogram(h)
                 for name, h in sorted(self.histograms.items())
             },
         }
@@ -301,8 +237,59 @@ class MetricsSnapshot:
                 f"histograms={len(self.histograms)})")
 
 
-def histogram_rows(hist: Mapping[str, Any]) -> List[Tuple[str, int]]:
-    """Bucket label/count pairs for display (``<=bound`` then ``+Inf``)."""
-    bounds: Iterable[float] = hist["bounds"]
-    labels = [f"<= {bound:g}" for bound in bounds] + ["+Inf"]
-    return list(zip(labels, hist["counts"]))
+def _sources(system: Any, replay_stats: Optional[Any]) -> Dict[str, List[Any]]:
+    """Layer name -> the stats objects its metrics are read from.
+
+    A layer with several sources (the per-shard operation logs and
+    checkpoint stores of a sharded SSC array) reports their sum; one
+    with none (the log of a plain SSD, replay results not given)
+    reports zero.
+    """
+    manager = system.manager
+    device = system.device
+    shards = getattr(device, "shards", None)
+    members = shards if isinstance(shards, list) else [device]
+    stores = [member for member in members
+              if getattr(member, "oplog", None) is not None
+              and getattr(member, "checkpoints", None) is not None]
+    return {
+        "manager": [manager.stats],
+        "ftl": [device.stats],
+        "flash": [device.chip.stats],
+        "log": [member.oplog for member in stores],
+        "checkpoint": [member.checkpoints for member in stores],
+        "replay": [] if replay_stats is None else [replay_stats],
+        "memory": [SimpleNamespace(
+            device_bytes=device.device_memory_bytes(),
+            host_bytes=manager.host_memory_bytes(),
+        )],
+    }
+
+
+def collect(system: Any,
+            replay_stats: Optional[Any] = None) -> MetricsSnapshot:
+    """Read every cataloged metric from ``system``'s layers.
+
+    ``system`` is a :class:`~repro.core.flashtier.FlashTierSystem` (or
+    anything exposing ``manager``/``device``); sharded arrays are
+    handled transparently because their stats properties already merge
+    across members.  ``replay_stats`` (a
+    :class:`~repro.stats.counters.ReplayStats`) adds the replay-level
+    results; the latency histogram fills only when the replay kept its
+    samples.
+    """
+    sources = _sources(system, replay_stats)
+    latency = LatencyStats() if replay_stats is None else replay_stats.latency
+    values: Dict[str, Dict[str, Any]] = {"counter": {}, "gauge": {},
+                                         "histogram": {}}
+    for name, kind, _description, *bounds in METRICS:
+        if kind == "histogram":
+            # The one cataloged histogram is the replay latency.
+            values[kind][name] = latency.histogram(bounds[0])
+            continue
+        layer, attribute = name.split(".", 1)
+        values[kind][name] = sum(
+            (getattr(source, attribute) for source in sources[layer]), 0.0
+        )
+    return MetricsSnapshot(values["counter"], values["gauge"],
+                           values["histogram"])

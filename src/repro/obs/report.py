@@ -20,7 +20,11 @@ from repro.stats.report import format_table
 
 
 def load_events(path: str) -> List[Dict[str, Any]]:
-    """Read a JSONL trace file into a list of event dicts."""
+    """Read a JSONL trace file into a list of event dicts.
+
+    Raises ``ValueError`` naming ``path:line`` for a line that is not
+    a JSON object, or whose ``args`` is not one.
+    """
     events: List[Dict[str, Any]] = []
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -28,16 +32,27 @@ def load_events(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(
                     f"{path}:{line_no}: not a JSON event line: {exc}"
                 ) from None
+            if not isinstance(event, dict):
+                raise ValueError(f"{path}:{line_no}: not a JSON object")
+            if not isinstance(event.get("args", {}), dict):
+                raise ValueError(
+                    f"{path}:{line_no}: \"args\" is not a JSON object"
+                )
+            events.append(event)
     return events
 
 
 def summarize(events: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Aggregate a trace into the report's sections."""
+    """Aggregate a trace into the report's sections.
+
+    Raises ``ValueError`` naming the event (1-based position) when a
+    field holds a value of the wrong type, e.g. non-numeric ``copies``.
+    """
     gc_by_group: Dict[int, Dict[str, float]] = {}
     merge_kinds: Dict[str, int] = {}
     wa = {
@@ -51,41 +66,48 @@ def summarize(events: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     recovery_phases: Dict[str, Dict[str, float]] = {}
     counts: Dict[str, int] = {}
 
-    for event in events:
-        name = event.get("name", "")
-        args = event.get("args", {})
-        dur = float(event.get("dur_us", 0.0))
-        counts[name] = counts.get(name, 0) + 1
-        if name == "op.issue":
-            if args.get("kind") == "write":
-                wa["user_writes"] += 1
-        elif name == "gc.merge":
-            kind = str(args.get("kind", "?"))
-            merge_kinds[kind] = merge_kinds.get(kind, 0) + 1
-            copies = int(args.get("copies", 0))
-            wa["gc_copies"] += copies
-            group = int(args.get("group", -1))
-            entry = gc_by_group.setdefault(
-                group, {"merges": 0, "copies": 0, "dur_us": 0.0}
-            )
-            entry["merges"] += 1
-            entry["copies"] += copies
-            entry["dur_us"] += dur
-        elif name == "evict.silent":
-            wa["silent_evictions"] += 1
-            wa["evicted_valid_pages"] += int(args.get("valid_pages", 0))
-        elif name == "log.flush":
-            wa["log_pages"] += int(args.get("pages", 0))
-        elif name == "checkpoint.commit":
-            wa["checkpoint_pages"] += int(args.get("pages", 0))
-        elif name == "recovery.phase":
-            phase = str(args.get("phase", "?"))
-            entry = recovery_phases.setdefault(
-                phase, {"runs": 0, "count": 0, "dur_us": 0.0}
-            )
-            entry["runs"] += 1
-            entry["count"] += int(args.get("count", 0))
-            entry["dur_us"] += dur
+    for index, event in enumerate(events, start=1):
+        try:
+            name = event.get("name", "")
+            if not isinstance(name, str):
+                raise TypeError("event name is not a string")
+            args = event.get("args", {})
+            dur = float(event.get("dur_us", 0.0))
+            counts[name] = counts.get(name, 0) + 1
+            if name == "op.issue":
+                if args.get("kind") == "write":
+                    wa["user_writes"] += 1
+            elif name == "gc.merge":
+                kind = str(args.get("kind", "?"))
+                merge_kinds[kind] = merge_kinds.get(kind, 0) + 1
+                copies = int(args.get("copies", 0))
+                wa["gc_copies"] += copies
+                group = int(args.get("group", -1))
+                entry = gc_by_group.setdefault(
+                    group, {"merges": 0, "copies": 0, "dur_us": 0.0}
+                )
+                entry["merges"] += 1
+                entry["copies"] += copies
+                entry["dur_us"] += dur
+            elif name == "evict.silent":
+                wa["silent_evictions"] += 1
+                wa["evicted_valid_pages"] += int(args.get("valid_pages", 0))
+            elif name == "log.flush":
+                wa["log_pages"] += int(args.get("pages", 0))
+            elif name == "checkpoint.commit":
+                wa["checkpoint_pages"] += int(args.get("pages", 0))
+            elif name == "recovery.phase":
+                phase = str(args.get("phase", "?"))
+                entry = recovery_phases.setdefault(
+                    phase, {"runs": 0, "count": 0, "dur_us": 0.0}
+                )
+                entry["runs"] += 1
+                entry["count"] += int(args.get("count", 0))
+                entry["dur_us"] += dur
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"event {index} ({event.get('name')!r}): bad field value: {exc}"
+            ) from None
 
     return {
         "event_counts": counts,

@@ -2,7 +2,7 @@
 
 ``python -m repro obs schema --markdown -o docs/metrics.md``
 regenerates the reference documentation straight from the
-declarations in :mod:`repro.obs.events` and :mod:`repro.obs.catalog`;
+declarations in :mod:`repro.obs.events` and :mod:`repro.obs.metrics`;
 ``--check`` compares instead of writing, which is the CI drift gate:
 an event or metric added, renamed or re-described in code fails CI
 until ``docs/metrics.md`` is regenerated and committed.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.obs.catalog import METRICS
+from repro.obs.metrics import METRICS
 from repro.obs.events import EVENT_TYPES
 
 GENERATED_HEADER = (
@@ -34,7 +34,7 @@ def metrics_markdown() -> str:
         "",
         "Every trace event and metric the simulator can emit, rendered",
         "from the declarations in `repro/obs/events.py` and",
-        "`repro/obs/catalog.py`.  Declarations are the single source of",
+        "`repro/obs/metrics.py`.  Declarations are the single source of",
         "truth: an undocumented event or metric cannot exist, and CI",
         "regenerates this file to catch drift.  See",
         "[observability.md](observability.md) for how to capture and",

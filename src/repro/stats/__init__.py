@@ -1,6 +1,6 @@
 """Measurement plumbing: counters, latency records, report tables."""
 
 from repro.stats.counters import LatencyStats, ReplayStats
-from repro.stats.report import format_table, format_ratio
+from repro.stats.report import format_table
 
-__all__ = ["LatencyStats", "ReplayStats", "format_table", "format_ratio"]
+__all__ = ["LatencyStats", "ReplayStats", "format_table"]

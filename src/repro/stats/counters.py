@@ -1,4 +1,5 @@
-"""Replay-level statistics: hits, misses, latency distribution.
+"""Replay-level statistics: hits, misses, latency distribution, and the
+field-wise counter algebra the per-layer stats share.
 
 These are the manager-facing numbers behind Figures 3/4/6 (IOPS and
 response times) and the miss-rate column of Table 5.  With the
@@ -10,9 +11,34 @@ device-utilization reporting.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, TypeVar
+
+_Stats = TypeVar("_Stats", bound="FieldwiseSum")
+
+
+class FieldwiseSum:
+    """Field-wise counter algebra for flat stats dataclasses.
+
+    :class:`~repro.ftl.base.FTLStats`, :class:`~repro.flash.chip.FlashStats`
+    and :class:`~repro.manager.base.ManagerStats` inherit ``merge``
+    from here: the per-shard statistics of a sharded array sum into
+    one array-level view, and ratios (write amplification, miss rate)
+    are then computed over the summed counters.
+    """
+
+    def merge(self: _Stats, other: _Stats) -> _Stats:
+        """Return self + other, field-wise.
+
+        Commutative and associative, with the all-zero instance as the
+        unit; neither operand is mutated.
+        """
+        return type(self)(**{
+            name: value + getattr(other, name)
+            for name, value in vars(self).items()
+        })
 
 
 class LatencyStats:
@@ -66,6 +92,28 @@ class LatencyStats:
         rank = ceil(len(ordered) * pct / 100.0)
         rank = min(len(ordered), max(1, rank))
         return ordered[rank - 1]
+
+    def histogram(self, bounds: Sequence[float]) -> Dict[str, Any]:
+        """Fixed-bucket distribution of the retained samples.
+
+        Prometheus ``le`` semantics: ``counts`` has ``len(bounds) + 1``
+        entries; ``counts[i]`` is the number of samples with
+        ``bounds[i-1] < x <= bounds[i]`` and the final entry counts
+        samples above the last bound.  ``count`` and ``sum`` cover the
+        retained samples (none unless ``keep_samples=True``).
+        """
+        ordered = [float(bound) for bound in bounds]
+        if not ordered:
+            raise ValueError("a histogram needs at least one bucket bound")
+        if ordered != sorted(set(ordered)):
+            raise ValueError("histogram bounds must be strictly increasing")
+        counts = [0] * (len(ordered) + 1)
+        total = 0.0
+        for sample in self._samples:
+            counts[bisect_left(ordered, sample)] += 1
+            total += sample
+        return {"bounds": ordered, "counts": counts,
+                "count": len(self._samples), "sum": total}
 
     def to_dict(self) -> Dict[str, float]:
         """JSON-serializable summary (machine-comparable across PRs)."""

@@ -1,19 +1,12 @@
 """Plain-text result tables for benchmark output.
 
 The benchmark harness prints the same rows/series the paper's tables and
-figures report; these helpers keep that formatting in one place.
+figures report; this helper keeps that formatting in one place.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
-
-def format_ratio(value: float, baseline: float) -> str:
-    """Render ``value`` as a percentage of ``baseline`` ("142%")."""
-    if baseline == 0:
-        return "n/a"
-    return f"{100.0 * value / baseline:.0f}%"
+from typing import Iterable, List, Sequence
 
 
 def format_table(
@@ -48,47 +41,3 @@ def format_table(
     parts.extend(line(row) for row in materialized)
     return "\n".join(parts)
 
-
-def format_histogram(
-    bounds: Sequence[float],
-    counts: Sequence[int],
-    width: int = 40,
-) -> str:
-    """Render a fixed-bucket histogram as labeled ASCII bars.
-
-    ``counts`` has one entry per bound plus a final overflow bucket
-    (``le`` semantics, as produced by
-    :class:`repro.obs.metrics.Histogram`).  An empty histogram (all
-    counts zero — a replay with no measured requests) renders as
-    "(no samples)" rather than dividing by a zero maximum.
-    """
-    labels = [f"<= {bound:g}" for bound in bounds] + ["+Inf"]
-    if len(labels) != len(counts):
-        raise ValueError(
-            f"expected {len(labels)} counts (bounds + overflow), "
-            f"got {len(counts)}"
-        )
-    peak = max(counts, default=0)
-    if peak <= 0:
-        return "(no samples)"
-    label_width = max(len(label) for label in labels)
-    lines = []
-    for label, count in zip(labels, counts):
-        bar = "#" * round(width * count / peak)
-        lines.append(f"{label.rjust(label_width)}  {str(count).rjust(8)}  {bar}")
-    return "\n".join(lines)
-
-
-def format_percentiles(
-    latency, pcts: Sequence[float] = (50.0, 90.0, 99.0)
-) -> List[Tuple[str, str]]:
-    """("p50", "312.0us")-style rows for a
-    :class:`~repro.stats.counters.LatencyStats`.
-
-    Safe on degenerate inputs: with no retained samples every row reads
-    "n/a", and a single-sample population answers every percentile with
-    that sample (nearest-rank, never an index error).
-    """
-    if not latency.samples:
-        return [(f"p{pct:g}", "n/a") for pct in pcts]
-    return [(f"p{pct:g}", f"{latency.percentile(pct):.1f}us") for pct in pcts]

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.cli import _queue_depth, _warmup_fraction, main
+from repro.cli import _positive_int, _warmup_fraction, main
 from repro.traces.filefmt import read_trace
 
 
@@ -142,12 +142,12 @@ class TestReplayOptionTypes:
 
     @pytest.mark.parametrize("text,value", [("1", 1), ("32", 32)])
     def test_queue_depth_accepts_positive_integers(self, text, value):
-        assert _queue_depth(text) == value
+        assert _positive_int(text) == value
 
     @pytest.mark.parametrize("text", ["0", "-4", "two", "1.5"])
     def test_queue_depth_rejects(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
-            _queue_depth(text)
+            _positive_int(text)
 
     @pytest.mark.parametrize("text,value", [
         ("0", 0.0), ("0.15", 0.15), ("0.999", 0.999),
@@ -211,6 +211,50 @@ class TestObservabilityCli:
         path.write_text("")
         assert main(["trace", "report", str(path)]) == 1
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ('[1, 2]', ":1: not a JSON object"),
+        ('"gc.merge"', ":1: not a JSON object"),
+        ('{"name": "gc.merge", "args": [1]}', ':1: "args" is not a JSON object'),
+        ('{"name": "gc.merge", "args": {"copies": "x"}}', "bad field value"),
+        ('{"name": "log.flush", "dur_us": "slow"}', "bad field value"),
+        ('{"name": 5}', "bad field value"),
+    ])
+    def test_trace_report_malformed_line(self, tmp_path, capsys,
+                                         line, message):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"name": "op.issue", "args": {"kind": "write"}}\n'
+                        + line + "\n")
+        assert main(["trace", "report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert message.replace(":1:", ":2:") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_trace_report_rejects_top_below_one(self, tmp_path, capsys, top):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"name": "gc.merge", "args": {"group": 1}}\n')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "report", str(path), "--top", top])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --top: must be >= 1, got {top}" in captured.err
+        assert captured.out == ""
+
+    def test_trace_report_top_one(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(
+            f'{{"name": "gc.merge", "dur_us": {group}, '
+            f'"args": {{"group": {group}, "copies": 1}}}}\n'
+            for group in (1, 2, 3)
+        ))
+        assert main(["trace", "report", str(path), "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        section = out.split("Top 1 GC-cost erase groups (of 3 merged)")[1]
+        rows = section.strip().splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["3"]
 
     def test_untraced_replay_unchanged(self, capsys):
         # The observability flags default off; a plain replay must not

@@ -9,7 +9,7 @@ from repro.flash.block import BlockKind
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ssc.device import SolidStateCache
-from repro.stats.report import format_ratio, format_table
+from repro.stats.report import format_table
 
 
 class TestFormatTable:
@@ -30,9 +30,6 @@ class TestFormatTable:
         lines = table.splitlines()
         assert lines[0] == "Results"
         assert lines[1] == "=" * len("Results")
-
-    def test_ratio(self):
-        assert format_ratio(50, 200) == "25%"
 
 
 class TestPlaneEdges:

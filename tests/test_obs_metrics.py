@@ -1,5 +1,5 @@
-"""The metrics registry: declaration semantics, bucket edges, and the
-snapshot monoid.
+"""The metrics catalog, latency histogram buckets, and the snapshot
+monoid.
 
 The snapshot laws matter operationally: ``merge`` is how per-shard
 metrics roll up into array totals (the same contract the sharded stat
@@ -20,90 +20,80 @@ from repro.core.flashtier import build_system
 from repro.obs import (
     LATENCY_BUCKETS_US,
     METRICS,
-    MetricsRegistry,
     MetricsSnapshot,
-    build_registry,
     collect,
 )
-from repro.obs.metrics import Histogram, histogram_rows
+from repro.stats.counters import LatencyStats
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
-class TestRegistryDeclaration:
-    def test_declaration_order_preserved(self):
-        registry = MetricsRegistry()
-        registry.counter("b.second", "desc")
-        registry.counter("a.first", "desc")
-        assert [m.name for m in registry] == ["b.second", "a.first"]
-
-    def test_redeclaration_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x", "desc")
-        with pytest.raises(ValueError, match="already declared"):
-            registry.gauge("x", "other desc")
-
-    def test_empty_description_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="needs a description"):
-            registry.counter("undocumented", "")
-
-    def test_counter_cannot_decrease(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c", "desc")
-        counter.inc(3)
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-        assert counter.value == 3
-
-    def test_contains_get_len(self):
-        registry = MetricsRegistry()
-        registry.gauge("g", "desc")
-        assert "g" in registry and "h" not in registry
-        assert registry.get("g").kind == "gauge"
-        assert len(registry) == 1
-
-    def test_catalog_builds_every_metric(self):
-        registry = build_registry()
-        assert len(registry) == len(METRICS)
+class TestCatalogIntegrity:
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_names_unique_documented_and_resolvable(self, kind):
+        names = [entry[0] for entry in METRICS]
+        assert len(names) == len(set(names))
         for entry in METRICS:
-            assert entry[0] in registry
-            assert registry.get(entry[0]).kind == entry[1]
-            assert registry.get(entry[0]).description
+            assert entry[1] in ("counter", "gauge", "histogram")
+            assert entry[2].strip(), f"{entry[0]} has no description"
+        # Every entry resolves on this system kind: collect reads each
+        # one from its layer and exports it under its cataloged kind.
+        profile = PROFILES["homes"].scaled(0.01)
+        system = build_system(SystemConfig(
+            kind=kind,
+            mode=CacheMode.WRITE_BACK,
+            cache_blocks=256,
+            disk_blocks=profile.address_range_blocks,
+        ))
+        stats = system.replay(generate_trace(profile, seed=42).records)
+        snap = collect(system, stats)
+        sections = {"counter": snap.counters, "gauge": snap.gauges,
+                    "histogram": snap.histograms}
+        for entry in METRICS:
+            assert entry[0] in sections[entry[1]]
+        assert sum(map(len, sections.values())) == len(METRICS)
+
+
+def latency_with(*samples):
+    latency = LatencyStats(keep_samples=True)
+    for sample in samples:
+        latency.record(sample)
+    return latency
 
 
 class TestHistogramBuckets:
     def test_bounds_must_be_strictly_increasing(self):
+        latency = latency_with(1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", "desc", (1.0, 1.0, 2.0))
+            latency.histogram((1.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("h", "desc", (2.0, 1.0))
+            latency.histogram((2.0, 1.0))
         with pytest.raises(ValueError, match="at least one"):
-            Histogram("h", "desc", ())
+            latency.histogram(())
 
     def test_le_semantics_on_exact_bounds(self):
         # A sample exactly on a bound lands in that bound's bucket
         # (Prometheus ``le``), not the next one.
-        hist = Histogram("h", "desc", (10.0, 20.0, 30.0))
-        for value in (10.0, 20.0, 30.0):
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 0]
+        hist = latency_with(10.0, 20.0, 30.0).histogram((10.0, 20.0, 30.0))
+        assert hist["counts"] == [1, 1, 1, 0]
 
     def test_open_intervals_between_bounds(self):
-        hist = Histogram("h", "desc", (10.0, 20.0))
-        hist.observe(0.0)      # <= 10
-        hist.observe(10.0001)  # (10, 20]
-        hist.observe(19.9999)  # (10, 20]
-        hist.observe(20.0001)  # overflow
-        assert hist.counts == [1, 2, 1]
+        hist = latency_with(0.0, 10.0001, 19.9999, 20.0001).histogram(
+            (10.0, 20.0))
+        # <= 10, (10, 20] twice, overflow
+        assert hist["counts"] == [1, 2, 1]
 
-    def test_overflow_bucket_and_mean(self):
-        hist = Histogram("h", "desc", (1.0,))
-        assert hist.mean() == 0.0
-        hist.observe(5.0)
-        hist.observe(7.0)
-        assert hist.counts == [0, 2]
-        assert hist.count == 2
-        assert hist.mean() == 6.0
+    def test_overflow_bucket_count_and_sum(self):
+        empty = LatencyStats(keep_samples=True).histogram((1.0,))
+        assert empty == {"bounds": [1.0], "counts": [0, 0],
+                         "count": 0, "sum": 0.0}
+        hist = latency_with(5.0, 7.0).histogram((1.0,))
+        assert hist["counts"] == [0, 2]
+        assert (hist["count"], hist["sum"]) == (2, 12.0)
+
+    def test_without_retained_samples_is_empty(self):
+        latency = LatencyStats()
+        latency.record(5.0)
+        assert latency.histogram((1.0,))["counts"] == [0, 0]
 
     def test_catalog_latency_buckets_cover_flash_and_disk(self):
         # The committed bounds must bracket a flash page read (~77us
@@ -112,12 +102,6 @@ class TestHistogramBuckets:
         assert LATENCY_BUCKETS_US[0] <= 100.0
         assert LATENCY_BUCKETS_US[-1] >= 20_000.0
         assert list(LATENCY_BUCKETS_US) == sorted(set(LATENCY_BUCKETS_US))
-
-    def test_histogram_rows_labels(self):
-        rows = histogram_rows(
-            {"bounds": [10.0, 20.0], "counts": [1, 2, 3]}
-        )
-        assert rows == [("<= 10", 1), ("<= 20", 2), ("+Inf", 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +199,17 @@ class TestSnapshotEdges:
             a.diff(b)
 
     def test_snapshot_is_frozen_copy(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c", "desc")
-        counter.inc(1)
-        snap = registry.snapshot()
-        counter.inc(41)
+        counters = {"c": 1.0}
+        histograms = {"h": {"bounds": [1.0], "counts": [1, 0],
+                            "count": 1, "sum": 0.5}}
+        snap = MetricsSnapshot(counters, histograms=histograms)
+        counters["c"] = 42.0
+        histograms["h"]["counts"][0] = 7
         assert snap.counters["c"] == 1.0
-        assert registry.snapshot().counters["c"] == 42.0
+        assert snap.histograms["h"]["counts"] == [1, 0]
+        merged = snap.merge(snap)
+        assert merged.histograms["h"]["counts"] == [2, 0]
+        assert snap.histograms["h"]["counts"] == [1, 0]
 
 
 class TestCollect:

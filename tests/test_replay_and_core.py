@@ -6,7 +6,7 @@ from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.core.flashtier import cache_geometry
 from repro.errors import ConfigError
 from repro.stats.counters import LatencyStats, ReplayStats
-from repro.stats.report import format_ratio, format_table
+from repro.stats.report import format_table
 from repro.traces.record import OpKind, TraceRecord
 from repro.traces.synthetic import HOMES, USR, generate_trace
 
@@ -45,8 +45,6 @@ class TestStats:
         assert stats.miss_rate() == pytest.approx(10.0)
 
     def test_report_helpers(self):
-        assert format_ratio(150, 100) == "150%"
-        assert format_ratio(1, 0) == "n/a"
         table = format_table(["a", "bb"], [[1, 2], [333, 4]], title="T")
         assert "333" in table
         assert table.splitlines()[0] == "T"
