@@ -68,10 +68,7 @@ def build_device(geometry: Optional[FlashGeometry] = None, shards: int = 1):
     if shards == 1:
         return SolidStateCache(geometry, config=config)
     return ShardedSSC(
-        [
-            SolidStateCache(geometry, config=config, name=f"shard{shard_id}")
-            for shard_id in range(shards)
-        ]
+        [SolidStateCache(geometry, config=config) for _ in range(shards)]
     )
 
 

@@ -248,7 +248,7 @@ class SSCOracle:
                        trial: str) -> List[Violation]:
         """The cache must not materialize blocks that were never written."""
         violations: List[Violation] = []
-        for lbn in ssc.engine.iter_cached_lbns():
+        for lbn in ssc.iter_cached_lbns():
             if lbn not in known:
                 violations.append(Violation(
                     "unknown-lbn", lbn,

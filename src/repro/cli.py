@@ -31,15 +31,21 @@ from repro.traces.record import TraceRecord
 from repro.traces.synthetic import PROFILES, generate_trace
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of ``--queue-depth`` and ``--top``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type accepting integers >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+#: Counts that must be >= 1 (``--queue-depth``, ``--shards``, ...).
+_positive_int = _int_at_least(1)
 
 
 def _warmup_fraction(text: str) -> float:
@@ -118,7 +124,7 @@ def _system_config(args, kind: SystemKind, records) -> SystemConfig:
 
 def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="split the cache into this many devices at fixed total "
              "capacity (default 1: a single device)",
     )
@@ -571,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-regress", type=float, default=0.20,
                        help="tolerated wall-clock throughput regression "
                             "(default 0.20 = 20%%)")
-    bench.add_argument("--shards", type=int, default=1,
+    bench.add_argument("--shards", type=_positive_int, default=1,
                        help="run every cache device as an array of this many "
                             "shards at fixed total capacity (default 1)")
     bench.set_defaults(func=cmd_bench)
@@ -580,17 +586,17 @@ def build_parser() -> argparse.ArgumentParser:
         "crashcheck",
         help="explore every crash point of a workload against the SSC oracle",
     )
-    crashcheck.add_argument("--ops", type=int, default=200,
+    crashcheck.add_argument("--ops", type=_positive_int, default=200,
                             help="workload length (default 200)")
     crashcheck.add_argument("--seed", type=int, default=0,
                             help="workload RNG seed (default 0)")
-    crashcheck.add_argument("--stride", type=int, default=1,
+    crashcheck.add_argument("--stride", type=_positive_int, default=1,
                             help="sample every Nth boundary (default 1: all)")
-    crashcheck.add_argument("--bitflips", type=int, default=12,
+    crashcheck.add_argument("--bitflips", type=_int_at_least(0), default=12,
                             help="bit-flip fault trials (default 12)")
     crashcheck.add_argument("--no-torn", action="store_true",
                             help="skip the torn-write variant of each boundary")
-    crashcheck.add_argument("--shards", type=int, default=1,
+    crashcheck.add_argument("--shards", type=_positive_int, default=1,
                             help="explore against a sharded cache array "
                                  "(default 1: a single device)")
     crashcheck.set_defaults(func=cmd_crashcheck)
@@ -598,7 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     recover = subparsers.add_parser("recover", help="crash-recovery timing demo")
     _add_trace_source_args(recover)
     _add_shard_args(recover)
-    recover.add_argument("--mode", default="wb")
+    recover.add_argument(
+        "--mode", choices=[mode.value for mode in CacheMode], default="wb"
+    )
     recover.add_argument("--no-consistency", action="store_true", help=argparse.SUPPRESS)
     recover.set_defaults(func=cmd_recover)
 

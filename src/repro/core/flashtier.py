@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from repro.core.config import CacheMode, SystemConfig, SystemKind
+from repro.core.sharding import ShardedSSC, ShardedSSD
 from repro.disk.model import Disk
 from repro.engine import ReplayEngine
 from repro.flash.geometry import FlashGeometry
@@ -98,66 +99,46 @@ class FlashTierSystem:
         return self.device.device_memory_bytes() + self.manager.host_memory_bytes()
 
 
-def build_system(config: SystemConfig) -> FlashTierSystem:
-    """Assemble the system described by ``config``."""
-    if config.shards > 1:
-        return build_sharded_system(config)
-    disk = Disk(config.disk_blocks)
-    geometry = cache_geometry(config)
-
+def _member_device(config: SystemConfig, geometry: FlashGeometry):
+    """One cache device of the kind ``config`` names."""
     if config.kind is SystemKind.NATIVE:
-        ssd = SSD(geometry=geometry, config=HybridFTLConfig())
-        manager = NativeCacheManager(
-            ssd,
-            disk,
-            NativeConfig(
-                mode=config.mode.value,
-                dirty_threshold=config.dirty_threshold,
-                consistency=config.consistency,
-            ),
-        )
-        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=ssd)
-
+        return SSD(geometry=geometry, config=HybridFTLConfig())
     policy = (
         EvictionPolicy.MERGE if config.kind is SystemKind.SSC_R else EvictionPolicy.UTIL
     )
-    ssc = SolidStateCache(
+    return SolidStateCache(
         geometry=geometry,
         config=SSCConfig(policy=policy, consistency=config.consistency),
     )
-    if config.mode is CacheMode.WRITE_BACK:
-        manager: CacheManager = FlashTierWBManager(
-            ssc, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
-        )
-    else:
-        manager = FlashTierWTManager(ssc, disk)
-    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=ssc)
 
 
-def build_sharded_system(config: SystemConfig) -> FlashTierSystem:
-    """Assemble a sharded cache array (``config.shards`` members).
+def build_system(config: SystemConfig) -> FlashTierSystem:
+    """Assemble the system described by ``config``.
 
-    Total capacity is fixed: each member device is provisioned
-    ``cache_blocks / shards`` blocks (see :func:`cache_geometry`), and
-    the array partitions the disk LBN space across the members by the
-    ``config.routing`` policy.  The three cache managers run unmodified
-    against the array — it exposes the exact device interface they
-    already speak.
+    Builds ``config.shards`` member devices at fixed total capacity
+    (each provisioned ``cache_blocks / shards`` blocks, see
+    :func:`cache_geometry`).  A lone member is the cache device itself;
+    several form a :class:`~repro.core.sharding.ShardedSSD` or
+    :class:`~repro.core.sharding.ShardedSSC` array, the latter
+    partitioning the disk LBN space by ``config.routing``.  The cache
+    managers run unmodified against either — an array exposes the exact
+    device interface they already speak.
     """
-    from repro.core.sharding import ShardedSSC, ShardedSSD, ShardRouter
-
     disk = Disk(config.disk_blocks)
     geometry = cache_geometry(config, shard_count=config.shards)
+    members = [_member_device(config, geometry) for _ in range(config.shards)]
+    native = config.kind is SystemKind.NATIVE
+    if config.shards == 1:
+        device = members[0]
+    elif native:
+        device = ShardedSSD(members)
+    else:
+        device = ShardedSSC(members, config.routing)
 
-    if config.kind is SystemKind.NATIVE:
-        array = ShardedSSD(
-            [
-                SSD(geometry=geometry, config=HybridFTLConfig())
-                for _ in range(config.shards)
-            ]
-        )
+    manager: CacheManager
+    if native:
         manager = NativeCacheManager(
-            array,
+            device,
             disk,
             NativeConfig(
                 mode=config.mode.value,
@@ -165,28 +146,11 @@ def build_sharded_system(config: SystemConfig) -> FlashTierSystem:
                 consistency=config.consistency,
             ),
         )
-        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=array)
-
-    policy = (
-        EvictionPolicy.MERGE if config.kind is SystemKind.SSC_R else EvictionPolicy.UTIL
-    )
-    array = ShardedSSC(
-        [
-            SolidStateCache(
-                geometry=geometry,
-                config=SSCConfig(policy=policy, consistency=config.consistency),
-                name=f"shard{shard_id}",
-            )
-            for shard_id in range(config.shards)
-        ],
-        router=ShardRouter(
-            config.shards, config.routing, config.pages_per_block
-        ),
-    )
+        return FlashTierSystem(config=config, manager=manager, disk=disk, ssd=device)
     if config.mode is CacheMode.WRITE_BACK:
         manager = FlashTierWBManager(
-            array, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
+            device, disk, WriteBackConfig(dirty_threshold=config.dirty_threshold)
         )
     else:
-        manager = FlashTierWTManager(array, disk)
-    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=array)
+        manager = FlashTierWTManager(device, disk)
+    return FlashTierSystem(config=config, manager=manager, disk=disk, ssc=device)

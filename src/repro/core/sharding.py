@@ -13,24 +13,18 @@ partitions the disk LBN space across ``N`` member devices:
   ``"stripe"`` round-robins groups, ``"hash"`` assigns each group by a
   64-bit mix of its number.
 * :class:`ShardedSSC` fans the six-operation SSC interface out to the
-  owning shard and aggregates statistics via the stats classes'
-  ``merge()``.  Recovery runs the shards concurrently, so array
+  owning shard.  Recovery runs the shards concurrently, so array
   recovery time is the *max* over shards, not the sum.
-* :class:`ShardedSSD` does the same for the native baseline's dense
-  logical space, striping pages round-robin (``lpn % N``) so the
-  manager's set-associative layout spreads evenly.
+* :class:`ShardedSSD` stripes the native baseline's dense logical
+  space round-robin (``lpn % N``) so the manager's set-associative
+  layout spreads evenly.
 
-The array deliberately adds **zero** latency of its own: every cost a
-caller sees is a member device's cost.  At ``shards=1`` the array is a
-transparent pass-through — bit-for-bit identical to driving the single
-device directly — which is what the differential test layer checks.
-
-Member chips are re-keyed (:meth:`~repro.flash.chip.FlashChip.
-set_resource_shard`) as ``"s<k>:plane:<n>"`` only when ``N > 1``, so
-different shards' planes occupy distinct availability timelines in the
-event-driven replay engine — physically separate devices never queue
-behind one another — while the ``N == 1`` array keeps the unsharded
-key names (and therefore identical busy maps) of a lone device.
+Both inherit one member-array base that names the members, re-keys
+their chips, and merges their statistics.  The array deliberately adds
+**zero** latency of its own: every cost a caller sees is a member
+device's cost.  A one-member array is a transparent pass-through —
+bit-for-bit identical to driving the single device directly — which is
+what the differential test layer checks.
 """
 
 from __future__ import annotations
@@ -121,13 +115,6 @@ class _ShardedChipView:
     def timing(self):
         return self.chips[0].timing
 
-    @property
-    def planes(self):
-        """Shard 0's planes — resolves unsharded ``plane:<n>`` keys,
-        which only occur when the array has a single member (whose
-        chip keeps the unsharded key names)."""
-        return self.chips[0].planes
-
     # -- recorder fan-out ----------------------------------------------
 
     @property
@@ -170,39 +157,55 @@ class _ShardedChipView:
         return f"_ShardedChipView(chips={len(self.chips)})"
 
 
-class _ShardedEngineView:
-    """Read-only aggregate over the member SSCs' cache FTLs."""
+class _MemberArray:
+    """What both arrays share: the member devices and their aggregates.
 
-    def __init__(self, shards: Sequence[SolidStateCache]):
-        self._shards = list(shards)
+    Members are named ``shard<k>`` and, when there are several, their
+    chips are re-keyed ``"s<k>:plane:<n>"`` so physically separate
+    devices never queue behind one another; a one-member array keeps
+    the unsharded keys, so it is bit-for-bit identical to the bare
+    device (busy maps included).  Subclasses add only their routing
+    and the device interface they present.
+    """
+
+    #: Optional trace bus (repro.obs) for the SSC array's ``shard.route``
+    #: events; None keeps routing zero-cost.
+    tracer = None
+
+    def __init__(self, shards: Sequence[Any]):
+        if not shards:
+            raise ConfigError("a sharded array needs at least one shard")
+        self.shards: List[Any] = list(shards)
+        for shard_id, shard in enumerate(self.shards):
+            shard.set_name(f"shard{shard_id}")
+            if len(self.shards) > 1:
+                shard.chip.set_resource_shard(shard_id)
+        self.chip = _ShardedChipView([shard.chip for shard in self.shards])
 
     @property
     def stats(self) -> FTLStats:
         merged = FTLStats()
-        for shard in self._shards:
-            merged = merged.merge(shard.engine.stats)
+        for shard in self.shards:
+            merged = merged.merge(shard.stats)
         return merged
 
-    @property
-    def pages_per_block(self) -> int:
-        return self._shards[0].engine.pages_per_block
-
-    def cached_blocks(self) -> int:
-        return sum(shard.engine.cached_blocks() for shard in self._shards)
-
     def device_memory_bytes(self) -> int:
-        return sum(shard.engine.device_memory_bytes() for shard in self._shards)
+        return sum(shard.device_memory_bytes() for shard in self.shards)
 
-    def iter_cached_lbns(self):
-        return chain.from_iterable(
-            shard.engine.iter_cached_lbns() for shard in self._shards
-        )
+    def attach_injector(self, injector: CrashInjector,
+                        only_shard: Optional[int] = None) -> None:
+        """Wire a crash injector into the members' durability boundaries.
 
-    def __repr__(self) -> str:
-        return f"_ShardedEngineView(shards={len(self._shards)})"
+        ``only_shard`` targets the fault at a single member device —
+        the crash-consistency tests use this to prove that a torn write
+        into shard *k* cannot disturb any other shard.
+        """
+        targets = self.shards if only_shard is None else [self.shards[only_shard]]
+        for shard in targets:
+            shard.attach_injector(injector)
 
 
-class ShardedSSC:
+class ShardedSSC(_MemberArray):
     """An array of SSCs behind the single-device six-operation interface.
 
     Data-path operations route to the owning shard and return that
@@ -215,43 +218,16 @@ class ShardedSSC:
     the lost records because every shard's volatile buffer is lost.
     """
 
-    #: Optional trace bus (repro.obs); None keeps routing zero-cost.
-    tracer = None
-
-    def __init__(
-        self,
-        shards: Sequence[SolidStateCache],
-        router: Optional[ShardRouter] = None,
-        routing: str = "stripe",
-    ):
-        if not shards:
-            raise ConfigError("a sharded array needs at least one shard")
-        self.shards: List[SolidStateCache] = list(shards)
+    def __init__(self, shards: Sequence[SolidStateCache],
+                 routing: str = "stripe"):
+        super().__init__(shards)
         pages_per_block = self.shards[0].chip.geometry.pages_per_block
         for shard in self.shards:
             if shard.chip.geometry.pages_per_block != pages_per_block:
                 raise ConfigError(
                     "array shards must share one erase-block geometry"
                 )
-        self.router = router or ShardRouter(
-            len(self.shards), routing, pages_per_block
-        )
-        if self.router.shards != len(self.shards):
-            raise ConfigError(
-                f"router covers {self.router.shards} shards, "
-                f"array has {len(self.shards)}"
-            )
-        for shard_id, shard in enumerate(self.shards):
-            if not shard.name:
-                shard.set_name(f"shard{shard_id}")
-            # Distinct availability timelines per member device — but a
-            # one-member array keeps unsharded keys, so it is
-            # bit-for-bit identical to the bare device (busy maps
-            # included).
-            if len(self.shards) > 1:
-                shard.chip.set_resource_shard(shard_id)
-        self.chip = _ShardedChipView([shard.chip for shard in self.shards])
-        self.engine = _ShardedEngineView(self.shards)
+        self.router = ShardRouter(len(self.shards), routing, pages_per_block)
         #: Per-shard recovery costs of the most recent :meth:`recover`.
         self.last_recovery_costs: Tuple[float, ...] = ()
 
@@ -286,10 +262,6 @@ class ShardedSSC:
         return f"array[{len(self.shards)}]"
 
     @property
-    def stats(self) -> FTLStats:
-        return self.engine.stats
-
-    @property
     def capacity_pages(self) -> int:
         return sum(shard.capacity_pages for shard in self.shards)
 
@@ -300,14 +272,16 @@ class ShardedSSC:
     def cached_blocks(self) -> int:
         return sum(shard.cached_blocks() for shard in self.shards)
 
+    def iter_cached_lbns(self):
+        return chain.from_iterable(
+            shard.iter_cached_lbns() for shard in self.shards
+        )
+
     def contains(self, lbn: int) -> bool:
         return self.shard_of(lbn).contains(lbn)
 
     def is_dirty(self, lbn: int) -> bool:
         return self.shard_of(lbn).is_dirty(lbn)
-
-    def device_memory_bytes(self) -> int:
-        return sum(shard.device_memory_bytes() for shard in self.shards)
 
     # ------------------------------------------------------------------
     # The six-operation interface (routed)
@@ -407,41 +381,26 @@ class ShardedSSC:
     # Crash and recovery
     # ------------------------------------------------------------------
 
-    def attach_injector(self, injector: CrashInjector,
-                        only_shard: Optional[int] = None) -> None:
-        """Wire a crash injector into the array's durability boundaries.
-
-        ``only_shard`` targets the fault at a single member device —
-        the crash-consistency tests use this to prove that a torn write
-        into shard *k* cannot disturb any other shard.
-        """
-        if only_shard is not None:
-            self.shards[only_shard].attach_injector(injector)
-            return
-        for shard in self.shards:
-            shard.attach_injector(injector)
-
     def crash(self) -> int:
         """Power-fail every member; returns total lost log records."""
         return sum(shard.crash() for shard in self.shards)
 
-    def recover(self, parallel: bool = True) -> float:
+    def recover(self) -> float:
         """Recover every member; returns the array recovery time.
 
         Each shard's roll-forward is independent, so the array recovers
         them concurrently, all starting at t=0: the array is ready when
-        the slowest shard is — ``max`` over shards, not the sum.  ``parallel=False``
-        models one controller recovering members back-to-back (the
-        ``sum``), kept for the scaling comparison.  Per-shard costs are
-        stored in :attr:`last_recovery_costs` either way.
+        the slowest shard is — ``max`` over shards, not the sum.  The
+        per-shard costs are kept in :attr:`last_recovery_costs`; their
+        sum is what one controller recovering the members back-to-back
+        would take.
         """
         from repro.ssc.recovery import recover_device
 
-        costs = tuple(recover_device(shard) for shard in self.shards)
-        self.last_recovery_costs = costs
-        if not parallel:
-            return sum(costs)
-        return max(costs)
+        self.last_recovery_costs = tuple(
+            recover_device(shard) for shard in self.shards
+        )
+        return max(self.last_recovery_costs)
 
     def __repr__(self) -> str:
         return (
@@ -451,7 +410,7 @@ class ShardedSSC:
         )
 
 
-class ShardedSSD:
+class ShardedSSD(_MemberArray):
     """An array of conventional SSDs striped into one dense logical space.
 
     The native baseline needs a *dense* logical page space (its manager
@@ -461,38 +420,25 @@ class ShardedSSD:
     members' spaces that spreads any access pattern evenly.
     """
 
-    def __init__(self, ssds: Sequence[SSD]):
-        if not ssds:
-            raise ConfigError("a sharded array needs at least one shard")
-        self.ssds: List[SSD] = list(ssds)
+    def __init__(self, shards: Sequence[SSD]):
+        super().__init__(shards)
         # A homogeneous array may still round capacities differently;
         # expose N * min so striping stays a bijection.
-        self._per_shard_pages = min(ssd.capacity_pages for ssd in self.ssds)
-        if len(self.ssds) > 1:
-            for shard_id, ssd in enumerate(self.ssds):
-                ssd.chip.set_resource_shard(shard_id)
-        self.chip = _ShardedChipView([ssd.chip for ssd in self.ssds])
+        self._per_shard_pages = min(ssd.capacity_pages for ssd in self.shards)
 
     def _route(self, lpn: int) -> Tuple[SSD, int]:
-        count = len(self.ssds)
-        return self.ssds[lpn % count], lpn // count
+        count = len(self.shards)
+        return self.shards[lpn % count], lpn // count
 
     # ---- capacity --------------------------------------------------------
 
     @property
     def capacity_pages(self) -> int:
-        return self._per_shard_pages * len(self.ssds)
+        return self._per_shard_pages * len(self.shards)
 
     @property
     def capacity_bytes(self) -> int:
         return self.capacity_pages * self.chip.geometry.page_size
-
-    @property
-    def stats(self) -> FTLStats:
-        merged = FTLStats()
-        for ssd in self.ssds:
-            merged = merged.merge(ssd.stats)
-        return merged
 
     # ---- block interface -------------------------------------------------
 
@@ -518,27 +464,16 @@ class ShardedSSD:
 
     def background_collect(self, budget_us: float) -> float:
         """Members recycle concurrently during the idle window."""
-        return max(ssd.background_collect(budget_us) for ssd in self.ssds)
+        return max(ssd.background_collect(budget_us) for ssd in self.shards)
 
-    # ---- memory & recovery accounting ------------------------------------
-
-    def device_memory_bytes(self) -> int:
-        return sum(ssd.device_memory_bytes() for ssd in self.ssds)
+    # ---- recovery accounting ---------------------------------------------
 
     def oob_recovery_scan_us(self) -> float:
         """Members scan their OOB areas concurrently: max over shards."""
-        return max(ssd.oob_recovery_scan_us() for ssd in self.ssds)
-
-    def attach_injector(self, injector: CrashInjector,
-                        only_shard: Optional[int] = None) -> None:
-        if only_shard is not None:
-            self.ssds[only_shard].attach_injector(injector)
-            return
-        for ssd in self.ssds:
-            ssd.attach_injector(injector)
+        return max(ssd.oob_recovery_scan_us() for ssd in self.shards)
 
     def __repr__(self) -> str:
         return (
-            f"ShardedSSD(shards={len(self.ssds)}, "
+            f"ShardedSSD(shards={len(self.shards)}, "
             f"capacity={self.capacity_bytes // (1 << 20)} MiB)"
         )

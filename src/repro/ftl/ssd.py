@@ -32,6 +32,9 @@ class SSD:
     mapping-granularity ablation).
     """
 
+    #: Member label in an array ("shard2"); empty for a lone drive.
+    name = ""
+
     def __init__(
         self,
         geometry: Optional[FlashGeometry] = None,
@@ -47,6 +50,10 @@ class SSD:
             self.ftl = PageMapFTL(self.chip, page_config)
         else:
             raise ConfigError("mapping must be 'hybrid' or 'page'")
+
+    def set_name(self, name: str) -> None:
+        """Label this drive (array shards)."""
+        self.name = name
 
     def attach_injector(self, injector: CrashInjector) -> None:
         """Wire a crash injector into the chip's program-path boundaries."""

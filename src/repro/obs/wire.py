@@ -32,16 +32,10 @@ def _instrument_device(device: Any, tracer: Optional[Tracer]) -> List[Any]:
     touched: List[Any] = []
 
     shards = getattr(device, "shards", None)
-    if isinstance(shards, list):           # ShardedSSC: array + members
-        device.tracer = tracer             # shard.route emissions
+    if isinstance(shards, list):           # an array: router + members
+        device.tracer = tracer             # ShardedSSC's shard.route emissions
         touched.append(device)
         for member in shards:
-            touched.extend(_instrument_device(member, tracer))
-        return touched
-
-    ssds = getattr(device, "ssds", None)
-    if isinstance(ssds, list):             # ShardedSSD: members only
-        for member in ssds:
             touched.extend(_instrument_device(member, tracer))
         return touched
 

@@ -115,10 +115,10 @@ class SolidStateCache:
         geometry: Optional[FlashGeometry] = None,
         timing: Optional[TimingModel] = None,
         config: Optional[SSCConfig] = None,
-        name: str = "",
     ):
         self.config = config or SSCConfig()
-        self.name = name
+        #: Member label in an array ("shard2"); empty for a lone device.
+        self.name = ""
         self.chip = FlashChip(geometry, timing)
         geometry = self.chip.geometry
         if not self.config.consistency:
@@ -129,12 +129,10 @@ class SolidStateCache:
             log_cls = OperationLog
         self.oplog = log_cls(
             self.chip.timing, geometry.page_size, geometry.pages_per_block,
-            name=f"{name}/log" if name else "",
         )
         self.engine = CacheFTL(self.chip, self.oplog, self.config.engine_config())
         self.checkpoints = CheckpointStore(
             self.chip.timing, geometry.page_size, geometry.pages_per_block,
-            name=f"{name}/checkpoint" if name else "",
         )
         self._writes_since_checkpoint = 0
         self._crashed = False
@@ -146,8 +144,8 @@ class SolidStateCache:
     def set_name(self, name: str) -> None:
         """Label this device and its durable stores (array shards)."""
         self.name = name
-        self.oplog.name = f"{name}/log" if name else ""
-        self.checkpoints.name = f"{name}/checkpoint" if name else ""
+        self.oplog.name = f"{name}/log"
+        self.checkpoints.name = f"{name}/checkpoint"
 
     def attach_injector(self, injector: CrashInjector) -> None:
         """Wire a crash injector into every durability boundary.
@@ -187,6 +185,9 @@ class SolidStateCache:
 
     def cached_blocks(self) -> int:
         return self.engine.cached_blocks()
+
+    def iter_cached_lbns(self):
+        return self.engine.iter_cached_lbns()
 
     def contains(self, lbn: int) -> bool:
         """Presence test without device latency (host-side debugging)."""

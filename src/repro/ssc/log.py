@@ -109,13 +109,13 @@ class OperationLog:
     tracer = None
 
     def __init__(self, timing: TimingModel, page_size: int = 4096,
-                 pages_per_block: int = 64, name: str = ""):
+                 pages_per_block: int = 64):
         self.timing = timing
         self.page_size = page_size
         self.pages_per_block = pages_per_block
         # Diagnostic label ("shard3/log" in a sharded array); purely
         # informational — it never affects behaviour.
-        self.name = name
+        self.name = ""
         # Optional fault hook: ticks AFTER_LOG_FLUSH at every flush.
         self.injector: Optional[CrashInjector] = None
         self._next_seq = 1

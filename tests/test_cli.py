@@ -104,6 +104,18 @@ class TestReplayCompare:
         assert "FlashTier recovery" in out
         assert "OOB scan" in out
 
+    def test_recover_over_striped_ssd_array(self, capsys):
+        # The native half builds a two-member ShardedSSD; its manager
+        # reload reads the timing model through the array's chip view.
+        assert main(["recover", "--workload", "homes", "--scale", "0.05",
+                     "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        table = [line.split()[0] for line in out.splitlines()
+                 if line.startswith(("shard", "serial total"))]
+        assert table == ["shard", "shard0", "shard1", "serial"]
+        assert "Native-FC reload:" in out
+        assert "Native-SSD OOB scan:" in out
+
 
 class TestErrors:
     def test_unknown_command_exits(self):
@@ -135,6 +147,27 @@ class TestErrors:
         assert message in captured.err.splitlines()[-1]
         assert "Traceback" not in captured.err
         assert "IOPS" not in captured.out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["crashcheck", "--shards", "0"], "argument --shards: must be >= 1"),
+        (["crashcheck", "--ops", "0"], "argument --ops: must be >= 1"),
+        (["crashcheck", "--stride", "0"], "argument --stride: must be >= 1"),
+        (["crashcheck", "--bitflips", "-1"],
+         "argument --bitflips: must be >= 0"),
+        (["bench", "--shards", "0"], "argument --shards: must be >= 1"),
+        (["recover", "--shards", "0"], "argument --shards: must be >= 1"),
+        (["recover", "--mode", "xx"], "argument --mode: invalid choice: 'xx'"),
+        (["replay", "--shards", "-2"], "argument --shards: must be >= 1"),
+    ])
+    def test_bad_integer_or_mode_exits_two_naming_the_flag(self, argv,
+                                                          message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err.splitlines()[-1]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestReplayOptionTypes:

@@ -15,7 +15,11 @@ an exact equality here.
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
-from repro.core.flashtier import build_sharded_system
+from repro.core.flashtier import FlashTierSystem
+from repro.core.sharding import ShardedSSC, ShardedSSD
+from repro.manager.native import NativeCacheManager
+from repro.manager.writeback import FlashTierWBManager
+from repro.manager.writethrough import FlashTierWTManager
 from repro.perf.wallclock import ZIPF_PROFILE
 from repro.traces.synthetic import HOMES, generate_trace
 
@@ -46,8 +50,24 @@ def _single(kind, mode):
 
 
 def _array(kind, mode):
-    """The same system assembled through the sharded path, one member."""
-    return build_sharded_system(_config(kind, mode, shards=1))
+    """The same system with its device wrapped in a one-member array.
+
+    ``build_system`` returns the bare device at ``shards=1``, so the
+    array is assembled here: a fresh single system's device goes into
+    the array, and a new manager of the same type and configuration is
+    wired to the array as ``build_system`` wires it to a device.
+    """
+    single = _single(kind, mode)
+    if kind is SystemKind.NATIVE:
+        array = ShardedSSD([single.ssd])
+        manager = NativeCacheManager(array, single.disk, single.manager.config)
+        return FlashTierSystem(single.config, manager, single.disk, ssd=array)
+    array = ShardedSSC([single.ssc])
+    if mode is CacheMode.WRITE_BACK:
+        manager = FlashTierWBManager(array, single.disk, single.manager.config)
+    else:
+        manager = FlashTierWTManager(array, single.disk)
+    return FlashTierSystem(single.config, manager, single.disk, ssc=array)
 
 
 def _instrument(manager, journal):
@@ -99,8 +119,8 @@ def _assert_devices_identical(array_system, single_system):
         assert (
             array_system.ssc.cached_blocks() == single_system.ssc.cached_blocks()
         )
-        assert sorted(array_system.ssc.engine.iter_cached_lbns()) == sorted(
-            single_system.ssc.engine.iter_cached_lbns()
+        assert sorted(array_system.ssc.iter_cached_lbns()) == sorted(
+            single_system.ssc.iter_cached_lbns()
         )
         assert (
             array_system.ssc.exists(0, 50_000)
@@ -173,10 +193,14 @@ class TestOneShardArrayIsTheDevice:
         array_us = array_system.ssc.recover()
         assert array_us == single_us
         assert array_system.ssc.last_recovery_costs == (single_us,)
-        # Parallel and serial recovery coincide for one member.
+        # Parallel and serial (summed) recovery coincide for one member.
         array_system.ssc.crash()
         single_system.ssc.crash()
-        assert array_system.ssc.recover(parallel=False) == single_system.ssc.recover()
+        array_system.ssc.recover()
+        assert (
+            sum(array_system.ssc.last_recovery_costs)
+            == single_system.ssc.recover()
+        )
 
     def test_latency_percentiles_identical(self):
         records = WORKLOADS["zipf"]()

@@ -132,7 +132,7 @@ def logical_state(array: ShardedSSC):
             continue
         contents[lbn] = (value, array.is_dirty(lbn))
     dirty, _cost = array.exists(0, LBN_RANGE)
-    cached = sorted(array.engine.iter_cached_lbns())
+    cached = sorted(array.iter_cached_lbns())
     return contents, dirty, cached, array.cached_blocks()
 
 

@@ -1,14 +1,15 @@
 """Unit coverage of the sharding module's edges.
 
 The differential/property/crash suites exercise the hot paths; these
-tests pin the construction-time validation, the chip/engine view
-plumbing the replay engine depends on, and the ``ShardedSSD`` striping
-used by the native baseline.
+tests pin the construction-time validation, the chip view plumbing the
+replay engine depends on, the ``ShardedSSD`` striping used by the
+native baseline, and the shape of what ``build_system`` assembles.
 """
 
 import pytest
 
 from repro import CacheMode, ReplayEngine, SystemConfig, SystemKind, build_system
+from repro.core.flashtier import cache_geometry
 from repro.core.sharding import (
     ShardedSSC,
     ShardedSSD,
@@ -18,6 +19,7 @@ from repro.errors import ConfigError, NotPresentError
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTLConfig
 from repro.ftl.ssd import SSD
+from repro.obs import Tracer, instrument_system
 from repro.sim.completion import Completion, DeviceOp
 from repro.sim.crash import CrashInjector
 from repro.ssc.device import SolidStateCache, SSCConfig
@@ -26,10 +28,10 @@ from repro.traces.synthetic import HOMES, generate_trace
 GEOMETRY = FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
 
 
-def make_array(shards: int = 2, **router_kwargs) -> ShardedSSC:
+def make_array(shards: int = 2, routing: str = "stripe") -> ShardedSSC:
     return ShardedSSC(
         [SolidStateCache(GEOMETRY, config=SSCConfig()) for _ in range(shards)],
-        **router_kwargs,
+        routing,
     )
 
 
@@ -76,10 +78,6 @@ class TestArrayValidation:
                 SolidStateCache(other, config=SSCConfig()),
             ])
 
-    def test_rejects_mismatched_router(self):
-        with pytest.raises(ConfigError):
-            make_array(2, router=ShardRouter(3))
-
 
 class TestArraySurface:
     def test_identity_and_introspection(self):
@@ -88,7 +86,6 @@ class TestArraySurface:
         assert array.config is array.shards[0].config
         assert array.capacity_pages == 3 * array.shards[0].capacity_pages
         assert "shards=3" in repr(array)
-        assert "ShardRouter" not in repr(array.engine)
         assert "chips=3" in repr(array.chip)
 
     def test_contains_and_dirty_route(self):
@@ -138,6 +135,20 @@ class TestArraySurface:
         for lbn in range(0, 256, 7):
             assert array.read(lbn)[0] == ("h", lbn)
 
+    def test_cached_lbns_and_stats_merge_members(self):
+        array = make_array(2)
+        for lbn in range(0, 64, 3):
+            array.write_dirty(lbn, ("e", lbn))
+        assert sorted(array.iter_cached_lbns()) == list(range(0, 64, 3))
+        assert all(
+            array.router.shard_of(lbn) == shard_id
+            for shard_id, shard in enumerate(array.shards)
+            for lbn in shard.iter_cached_lbns()
+        )
+        assert array.stats.user_writes == sum(
+            shard.stats.user_writes for shard in array.shards
+        )
+
     def test_injector_fans_out_to_all_members(self):
         array = make_array(2)
         injector = CrashInjector()
@@ -183,19 +194,6 @@ class TestArrayWidePowerFailure:
         assert all(not shard._crashed for shard in array.shards)
 
 
-class TestEngineView:
-    def test_aggregates_match_array_methods(self):
-        array = make_array(2)
-        for lbn in range(0, 64, 3):
-            array.write_dirty(lbn, ("e", lbn))
-        assert array.engine.pages_per_block == GEOMETRY.pages_per_block
-        assert array.engine.cached_blocks() == array.cached_blocks()
-        assert array.engine.device_memory_bytes() == array.device_memory_bytes()
-        assert array.engine.stats.user_writes == sum(
-            shard.engine.stats.user_writes for shard in array.shards
-        )
-
-
 class TestChipView:
     def test_engine_resource_table_covers_every_member_plane(self):
         system = build_system(SystemConfig(
@@ -232,17 +230,16 @@ class TestChipView:
         ))
         table = ReplayEngine(system.manager).resources
         member_planes = [
-            plane for ssd in system.ssd.ssds for plane in ssd.chip.planes
+            plane for ssd in system.ssd.shards for plane in ssd.chip.planes
         ]
         assert len(table) == len(member_planes) + 1
         assert all(table[plane.resource_key] is plane for plane in member_planes)
         assert table["disk"] is system.disk
 
-    def test_geometry_timing_planes_come_from_shard_zero(self):
+    def test_geometry_and_timing_come_from_shard_zero(self):
         array = make_array(2)
         assert array.chip.geometry is array.shards[0].chip.geometry
         assert array.chip.timing is array.shards[0].chip.timing
-        assert array.chip.planes is array.shards[0].chip.planes
 
     def test_recorder_fans_out(self):
         from repro.sim.completion import OpRecorder
@@ -286,13 +283,13 @@ class TestShardedSSD:
         # Each member saw an equal slice of the dense space.
         per_member = [
             sum(1 for lpn in range(span) if array._route(lpn)[0] is ssd)
-            for ssd in array.ssds
+            for ssd in array.shards
         ]
         assert per_member[0] == per_member[1] == span // 2
 
     def test_capacity_is_n_times_min_member(self):
         array = make_ssd_array(3)
-        member = min(ssd.capacity_pages for ssd in array.ssds)
+        member = min(ssd.capacity_pages for ssd in array.shards)
         assert array.capacity_pages == 3 * member
         assert array.capacity_bytes == array.capacity_pages * GEOMETRY.page_size
 
@@ -318,13 +315,13 @@ class TestShardedSSD:
         for lpn in range(32):
             array.write(lpn, lpn)
         assert array.device_memory_bytes() == sum(
-            ssd.device_memory_bytes() for ssd in array.ssds
+            ssd.device_memory_bytes() for ssd in array.shards
         )
         assert array.oob_recovery_scan_us() == max(
-            ssd.oob_recovery_scan_us() for ssd in array.ssds
+            ssd.oob_recovery_scan_us() for ssd in array.shards
         )
         assert array.background_collect(1_000.0) == max(
-            ssd.background_collect(0.0) for ssd in array.ssds
+            ssd.background_collect(0.0) for ssd in array.shards
         ) or array.background_collect(0.0) >= 0.0
 
     def test_stats_merge_and_repr(self):
@@ -332,7 +329,7 @@ class TestShardedSSD:
         for lpn in range(16):
             array.write(lpn, lpn)
         assert array.stats.user_writes == sum(
-            ssd.stats.user_writes for ssd in array.ssds
+            ssd.stats.user_writes for ssd in array.shards
         )
         assert "ShardedSSD(shards=2" in repr(array)
 
@@ -357,3 +354,55 @@ class TestSingleMemberArrayReads:
         array = make_array(1)
         with pytest.raises(NotPresentError):
             array.read(12)
+
+
+class TestBuildSystemShape:
+    """One builder: the lone member at ``shards=1``, an array of
+    ``cache_geometry(config, N)`` members otherwise."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_member_or_array(self, kind, shards):
+        config = SystemConfig(
+            kind=kind, mode=CacheMode.WRITE_BACK,
+            cache_blocks=2048, disk_blocks=50_000, shards=shards,
+        )
+        system = build_system(config)
+        native = kind is SystemKind.NATIVE
+        member_type = SSD if native else SolidStateCache
+        assert system.device is (system.ssd if native else system.ssc)
+        if shards == 1:
+            assert type(system.device) is member_type
+            members = [system.device]
+        else:
+            assert type(system.device) is (ShardedSSD if native else ShardedSSC)
+            members = system.device.shards
+            assert len(members) == shards
+
+        geometry = cache_geometry(config, shards)
+        for shard_id, member in enumerate(members):
+            assert type(member) is member_type
+            assert member.chip.geometry == geometry
+            keys = [plane.resource_key for plane in member.chip.planes]
+            if shards == 1:
+                assert member.name == ""
+                assert keys == [f"plane:{n}" for n in range(geometry.planes)]
+            else:
+                assert member.name == f"shard{shard_id}"
+                assert keys == [
+                    f"s{shard_id}:plane:{n}" for n in range(geometry.planes)
+                ]
+
+        tracer = Tracer()
+        touched = instrument_system(system, tracer)
+        if shards > 1:
+            assert system.device in touched
+            assert system.device.tracer is tracer
+        for member in members:
+            layer = member.ftl if native else member.engine
+            components = [member, layer, *member.chip.planes]
+            if not native:
+                components += [member.oplog, member.checkpoints]
+            for component in components:
+                assert component.tracer is tracer
+                assert any(component is seen for seen in touched)
