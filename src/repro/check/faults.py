@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+from repro.flash.chip import FlashChip
 from repro.flash.page import PageState
 from repro.ssc.device import SolidStateCache
 
@@ -38,12 +39,18 @@ def flip_log_record(ssc: SolidStateCache, rng: random.Random) -> bool:
     return True
 
 
-def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
-    """Corrupt the payload of one programmed flash page.
+def rot_page(chip: FlashChip, ppn: int) -> None:
+    """Corrupt the payload of flash page ``ppn`` in place.
 
     The OOB checksum keeps its original value, so the page reads back
-    as damaged (checksum mismatch) — recovery must not map it.
+    as damaged (checksum mismatch) — recovery must not map it, also
+    after garbage collection has relocated it.
     """
+    chip.page_data[ppn] = ("<bitrot>", chip.page_data[ppn])
+
+
+def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
+    """Corrupt the payload of one programmed flash page (:func:`rot_page`)."""
     chip = ssc.chip
     candidates = [
         ppn
@@ -52,8 +59,7 @@ def flip_page_data(ssc: SolidStateCache, rng: random.Random) -> bool:
     ]
     if not candidates:
         return False
-    ppn = rng.choice(candidates)
-    chip.page_data[ppn] = ("<bitrot>", chip.page_data[ppn])
+    rot_page(chip, rng.choice(candidates))
     return True
 
 

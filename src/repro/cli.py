@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import CacheMode, SystemConfig, SystemKind, build_system
 from repro.errors import ReproError
@@ -46,6 +46,11 @@ def _int_at_least(minimum: int):
 
 #: Counts that must be >= 1 (``--queue-depth``, ``--shards``, ...).
 _positive_int = _int_at_least(1)
+
+
+def _positive_int_list(text: str) -> Tuple[int, ...]:
+    """argparse type of a comma-separated list of integers >= 1."""
+    return tuple(_positive_int(item) for item in text.split(","))
 
 
 def _warmup_fraction(text: str) -> float:
@@ -331,9 +336,7 @@ def cmd_bench(args) -> int:
     if args.workloads:
         matrix["workloads"] = tuple(args.workloads.split(","))
     if args.queue_depths:
-        matrix["queue_depths"] = tuple(
-            int(depth) for depth in args.queue_depths.split(",")
-        )
+        matrix["queue_depths"] = args.queue_depths
     if args.scale is not None:
         matrix["scale"] = args.scale
     if args.seed is not None:
@@ -552,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--mode", choices=[mode.value for mode in CacheMode], default="wb"
     )
-    compare.add_argument("--warmup", type=float, default=0.15)
+    compare.add_argument("--warmup", type=_warmup_fraction, default=0.15)
     compare.add_argument("--no-consistency", action="store_true")
     compare.set_defaults(func=cmd_compare)
 
@@ -564,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CI-sized subset (one workload, two queue depths)")
     bench.add_argument("--workloads",
                        help="comma-separated workload names (default per matrix)")
-    bench.add_argument("--queue-depths",
+    bench.add_argument("--queue-depths", type=_positive_int_list,
                        help="comma-separated queue depths (default per matrix)")
     bench.add_argument("--scale", type=float, default=None,
                        help="workload scale factor override")

@@ -138,8 +138,11 @@ class EraseBlock:
         built by merges may have holes where a page was never cached),
         but programming at or below the write pointer is rejected.
         """
-        index = self._check_programmable(offset, "program")
-        if offset > self.write_pointer:
+        index = self.base + offset
+        write_pointer = self.write_pointer
+        if offset < write_pointer or self.page_state[index] != _FREE:
+            self._check_programmable(offset, "program")  # raises
+        if offset > write_pointer:
             self.sequential = False
         self.page_state[index] = _VALID
         self.page_data[index] = data

@@ -161,20 +161,19 @@ class FlashChip:
     def program_page(self, ppn: int, data: Any, oob: OOBData) -> float:
         """Program page ``ppn`` with data + OOB; returns cost_us.
 
-        Enforces NAND constraints: the page must be FREE and must be the
-        block's next sequential page.  The OOB write is free (overlapped
-        with the data program, per the paper's assumption).  The OOB
-        checksum binding the payload to its logical address is stamped
-        here, so every programmed page is verifiable at recovery.
+        Enforces NAND constraints (in :meth:`EraseBlock.program`, the
+        one program body): the page must be FREE and must not lie below
+        the block's write pointer.  The OOB write is free (overlapped
+        with the data program, per the paper's assumption).  Unless the
+        caller supplies one, the OOB checksum binding the payload to its
+        logical address is stamped here, so every programmed page is
+        verifiable at recovery.  The crash injector ticks before and
+        after the program; a torn crash leaves the page torn.
         """
         geo = self.geometry
         geo.check_ppn(ppn)
         pbn, offset = divmod(ppn, geo.pages_per_block)
-        return self._program(self.blocks[pbn], offset, data, oob)
-
-    def _program(self, block: EraseBlock, offset: int, data: Any,
-                 oob: OOBData) -> float:
-        """The one page-program path (user writes and GC copies)."""
+        block = self.blocks[pbn]
         injector = self.crash_injector
         if injector is not None:
             try:
@@ -192,7 +191,7 @@ class FlashChip:
         stats = self.stats
         stats.page_writes += 1
         stats.busy_us += cost
-        self.op_recorder.add(self._write_ops[block.pbn // self._blocks_per_plane])
+        self.op_recorder.add(self._write_ops[pbn // self._blocks_per_plane])
         if injector is not None:
             injector.tick(CrashPoint.AFTER_DATA_WRITE)
         return cost
@@ -204,46 +203,91 @@ class FlashChip:
         gc_stats,
         on_copied: Optional[Callable[[int, int], Any]] = None,
     ) -> float:
-        """Garbage-collection copies: the one page-relocation loop.
+        """Garbage-collection copyback: the one page-relocation loop.
 
         ``moves`` yields ``(src_ppn, dst_ppn, lbn)``.  Each move reads
-        the source page, programs its payload at ``dst_ppn`` under a
-        fresh OOB record (``lbn``, the source's dirty flag, the next
-        write sequence number), invalidates the source, then calls
-        ``on_copied(lbn, dst_ppn)``.  Each move adds its read cost and
-        then its program cost onto ``cost``, which is returned;
-        ``gc_stats.gc_page_reads``/``gc_page_writes`` count the copies.
-        ``moves`` is consumed lazily, so it may pick each destination
-        after the previous copy has landed.
+        the source page and programs its payload at ``dst_ppn`` under a
+        fresh OOB record — ``lbn``, the source's dirty flag, the next
+        write sequence number — that carries the source's *stored*
+        checksum: like a device's copyback, relocation moves the page's
+        CRC with it instead of re-deriving it, so a page that rotted in
+        place still fails verification after it moves.  A fresh
+        checksum is stamped only when the source has none or its OOB
+        names another LBN.  The move then invalidates the source and
+        calls ``on_copied(lbn, dst_ppn)``.
+
+        Per page, as in :meth:`program_page`, the crash injector ticks
+        before and after the program (a torn crash leaves the
+        destination torn) and :meth:`EraseBlock.program` enforces the
+        NAND rules.  Each move adds its read cost and then its program
+        cost onto ``cost``, which is returned, and onto the chip's busy
+        time in the same order; ``gc_stats.gc_page_reads``/
+        ``gc_page_writes`` count the copies.  The recorder state,
+        interned ops and costs are looked up once per call, and the
+        counters are settled when the loop ends, also when a crash cuts
+        it short — so ``moves`` and ``on_copied`` must not operate on
+        this chip.  ``moves`` is consumed lazily, so it may pick each
+        destination after the previous copy has landed.
         """
         read_cost = self._read_cost_us
+        write_cost = self._write_cost_us
         stats = self.stats
-        recorder = self.op_recorder
+        injector = self.crash_injector
+        record = self.op_recorder.appender()
         read_ops = self._read_ops
+        write_ops = self._write_ops
         pages_per_plane = self._pages_per_plane
         pages_per_block = self.geometry.pages_per_block
         blocks = self.blocks
         page_data = self.page_data
         page_oob = self.page_oob
-        program = self._program
-        for src_ppn, dst_ppn, lbn in moves:
-            stats.page_reads += 1
-            stats.busy_us += read_cost
-            recorder.add(read_ops[src_ppn // pages_per_plane])
-            cost += read_cost
-            gc_stats.gc_page_reads += 1
-            self._write_seq += 1
-            source_oob = page_oob[src_ppn]
-            oob = OOBData(
-                lbn, bool(source_oob and source_oob.dirty), self._write_seq
-            )
-            dst_pbn, dst_offset = divmod(dst_ppn, pages_per_block)
-            cost += program(blocks[dst_pbn], dst_offset, page_data[src_ppn], oob)
-            gc_stats.gc_page_writes += 1
-            src_pbn, src_offset = divmod(src_ppn, pages_per_block)
-            blocks[src_pbn].invalidate(src_offset)
-            if on_copied is not None:
-                on_copied(lbn, dst_ppn)
+        busy = stats.busy_us
+        seq = self._write_seq
+        reads = programs = copies = 0
+        try:
+            for src_ppn, dst_ppn, lbn in moves:
+                reads += 1
+                busy += read_cost
+                if record is not None:
+                    record(read_ops[src_ppn // pages_per_plane])
+                cost += read_cost
+                seq += 1
+                dst_pbn, dst_offset = divmod(dst_ppn, pages_per_block)
+                block = blocks[dst_pbn]
+                if injector is not None:
+                    try:
+                        injector.tick(CrashPoint.BEFORE_DATA_WRITE)
+                    except CrashError:
+                        if injector.torn:
+                            block.program_torn(dst_offset)
+                            programs += 1
+                        raise
+                data = page_data[src_ppn]
+                source = page_oob[src_ppn]
+                checksum = source.checksum if source.lbn == lbn else None
+                if checksum is None:
+                    checksum = crc32_of_payload(lbn, data)
+                block.program(dst_offset, data,
+                              OOBData(lbn, source.dirty, seq, checksum))
+                programs += 1
+                busy += write_cost
+                if record is not None:
+                    record(write_ops[dst_ppn // pages_per_plane])
+                if injector is not None:
+                    injector.tick(CrashPoint.AFTER_DATA_WRITE)
+                cost += write_cost
+                copies += 1
+                src_pbn, src_offset = divmod(src_ppn, pages_per_block)
+                blocks[src_pbn].invalidate(src_offset)
+                if on_copied is not None:
+                    on_copied(lbn, dst_ppn)
+        finally:
+            self._write_seq = seq
+            stats.page_reads += reads
+            stats.page_writes += programs
+            stats.busy_us = busy
+            gc_stats.gc_page_reads += reads
+            gc_stats.gc_page_writes += copies
         return cost
 
     def erase_block(self, pbn: int) -> float:

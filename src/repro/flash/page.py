@@ -41,7 +41,8 @@ class OOBData:
     increasing write sequence used to disambiguate multiple flash copies
     of the same logical block during OOB recovery scans.  ``checksum``
     binds the payload to the logical address (set by the chip at program
-    time); recovery uses it to detect torn programs and bit rot, and
+    time and carried unchanged when garbage collection relocates the
+    page); recovery uses it to detect torn programs and bit rot, and
     ``None`` marks metadata written before checksumming existed (always
     treated as intact).
 

@@ -28,7 +28,7 @@ virtual-region metadata writes — stays serial within the request.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 #: Resource key of the (single-spindle) disk tier.
 DISK_RESOURCE = "disk"
@@ -122,6 +122,15 @@ class OpRecorder:
         """
         if self._depth > 0:
             self._ops.append(op)
+
+    def appender(self) -> Optional[Callable[[DeviceOp], None]]:
+        """The open capture's append function, or None with no capture.
+
+        For loops that record many pre-built operations: they test the
+        capture state once instead of once per operation.  The function
+        stays valid until the capture ends.
+        """
+        return self._ops.append if self._depth > 0 else None
 
     def end(self, mark: int) -> Tuple[DeviceOp, ...]:
         """Close the capture opened at ``mark``; returns its operations."""

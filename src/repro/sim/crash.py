@@ -11,12 +11,13 @@ chosen number of durable-write steps, which exercises torn-state corners
 (e.g. a crash after the data page is written but before the mapping
 commit) without needing real power cuts.  The injector is wired through
 the durability path: :meth:`~repro.flash.chip.FlashChip.program_page`
-ticks around every page program, the operation log ticks at every flush,
-and the checkpoint store ticks after every checkpoint write, so arming
-``after_events=k`` enumerates the k-th durability boundary a workload
-crosses.  ``torn=True`` additionally models a *partial* program at the
-firing boundary: the in-flight page (or log/checkpoint write) is left on
-flash as detectably damaged garbage instead of vanishing cleanly.
+and the GC copy loop (``copy_pages``) tick around every page program,
+the operation log ticks at every flush, and the checkpoint store ticks
+after every checkpoint write, so arming ``after_events=k`` enumerates
+the k-th durability boundary a workload crosses.  ``torn=True``
+additionally models a *partial* program at the firing boundary: the
+in-flight page (or log/checkpoint write) is left on flash as detectably
+damaged garbage instead of vanishing cleanly.
 """
 
 from __future__ import annotations

@@ -158,6 +158,16 @@ class TestErrors:
         (["recover", "--shards", "0"], "argument --shards: must be >= 1"),
         (["recover", "--mode", "xx"], "argument --mode: invalid choice: 'xx'"),
         (["replay", "--shards", "-2"], "argument --shards: must be >= 1"),
+        (["compare", "--scale", "0.05", "--warmup", "1.5"],
+         "argument --warmup: must be in [0, 1)"),
+        (["compare", "--scale", "0.05", "--warmup", "-0.1"],
+         "argument --warmup: must be in [0, 1)"),
+        (["bench", "--quick", "--queue-depths", "0"],
+         "argument --queue-depths: must be >= 1"),
+        (["bench", "--quick", "--queue-depths", "4,-1"],
+         "argument --queue-depths: must be >= 1"),
+        (["bench", "--quick", "--queue-depths", "4,x"],
+         "argument --queue-depths: not an integer: 'x'"),
     ])
     def test_bad_integer_or_mode_exits_two_naming_the_flag(self, argv,
                                                           message, capsys):

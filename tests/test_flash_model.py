@@ -4,13 +4,17 @@ A hypothesis state machine drives a small chip through random program,
 torn-program, GC-copy, invalidate, clean/dirty, erase, allocate and
 release steps, mirrored into a plain dict-per-page model.  After every
 step the chip's incremental state must pass :meth:`FlashChip.audit`,
-and ``read_page``/``scan_oob`` must agree with the model page by page.
+and ``read_page``/``scan_oob`` must agree with the model page by page,
+stored OOB checksum included: a program stamps one, a GC copy under the
+source's LBN carries the source's (so rot stays detectable after a
+move), and a copy under another LBN or from a torn page stamps afresh.
 """
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.check import faults
 from repro.errors import CrashError, FlashStateError
 from repro.flash.block import TORN_PAGE, BlockKind
 from repro.flash.chip import FlashChip
@@ -18,13 +22,15 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.page import OOBData, PageState
 from repro.ftl.base import FTLStats
 from repro.sim.crash import CrashInjector, CrashPoint
+from repro.util.checksum import crc32_of_payload
 
 GEOMETRY = FlashGeometry(planes=2, blocks_per_plane=4, pages_per_block=8)
 PAGES = GEOMETRY.pages_per_block
 
 
 def erased_page():
-    return {"state": PageState.FREE, "data": None, "lbn": None, "dirty": False}
+    return {"state": PageState.FREE, "data": None, "lbn": None, "dirty": False,
+            "checksum": None}
 
 
 class FlashColumnsMachine(RuleBasedStateMachine):
@@ -99,7 +105,8 @@ class FlashColumnsMachine(RuleBasedStateMachine):
             ppn, data, OOBData(lbn=lbn, dirty=dirty, seq=self.chip.next_seq())
         )
         self.pages[ppn] = {"state": PageState.VALID, "data": data,
-                           "lbn": lbn, "dirty": dirty}
+                           "lbn": lbn, "dirty": dirty,
+                           "checksum": crc32_of_payload(lbn, data)}
         self.write_pointer[pbn] = offset + 1
 
     @rule(index=st.integers(0, 16), skip=st.integers(0, 2))
@@ -116,17 +123,20 @@ class FlashColumnsMachine(RuleBasedStateMachine):
             self.chip.program_page(ppn, "lost", OOBData(lbn=1, dirty=True))
         self.chip.crash_injector = None
         self.pages[ppn] = {"state": PageState.VALID, "data": TORN_PAGE,
-                           "lbn": None, "dirty": False}
+                           "lbn": None, "dirty": False, "checksum": 0}
         self.write_pointer[pbn] = offset + 1
 
     @rule(source=st.integers(0, 1000), index=st.integers(0, 16),
-          lbn=st.integers(0, 50))
-    def gc_copy(self, source, index, lbn):
+          lbn=st.integers(0, 50), keep_lbn=st.booleans())
+    def gc_copy(self, source, index, lbn, keep_lbn):
         valid = self._pages_in(PageState.VALID)
         slot = self._slot(index, 0)
         if not valid or slot is None:
             return
         src = valid[source % len(valid)]
+        source_page = self.pages[src]
+        if keep_lbn and source_page["lbn"] is not None:
+            lbn = source_page["lbn"]
         pbn, offset = slot
         dst = pbn * PAGES + offset
         if dst == src:
@@ -140,12 +150,26 @@ class FlashColumnsMachine(RuleBasedStateMachine):
         assert cost == self.chip.timing.read_cost() + self.chip.timing.write_cost()
         assert copied == [(lbn, dst)]
         assert (gc_stats.gc_page_reads, gc_stats.gc_page_writes) == (1, 1)
-        source_page = self.pages[src]
+        if lbn == source_page["lbn"]:
+            checksum = source_page["checksum"]  # copyback keeps it
+        else:
+            checksum = crc32_of_payload(lbn, source_page["data"])
         self.pages[dst] = {"state": PageState.VALID,
                            "data": source_page["data"], "lbn": lbn,
-                           "dirty": source_page["dirty"]}
+                           "dirty": source_page["dirty"], "checksum": checksum}
         source_page["state"] = PageState.INVALID
         self.write_pointer[pbn] = offset + 1
+
+    @rule(source=st.integers(0, 1000))
+    def rot(self, source):
+        """Bit rot: the payload changes, the stored checksum does not."""
+        valid = self._pages_in(PageState.VALID)
+        if not valid:
+            return
+        ppn = valid[source % len(valid)]
+        faults.rot_page(self.chip, ppn)
+        page = self.pages[ppn]
+        page["data"] = ("<bitrot>", page["data"])
 
     @rule(ppn=st.integers(0, GEOMETRY.total_pages - 1))
     def invalidate(self, ppn):
@@ -202,7 +226,9 @@ class FlashColumnsMachine(RuleBasedStateMachine):
             if page["state"] is PageState.FREE:
                 assert oob is None, ppn
             else:
-                assert (oob.lbn, oob.dirty) == (page["lbn"], page["dirty"]), ppn
+                assert (oob.lbn, oob.dirty, oob.checksum) == (
+                    page["lbn"], page["dirty"], page["checksum"]
+                ), ppn
         for block in self.chip.blocks:
             assert block.write_pointer == self.write_pointer[block.pbn]
 
@@ -295,3 +321,20 @@ class TestInternedOps:
         chip.read_page(0)
         mark = chip.op_recorder.begin()
         assert chip.op_recorder.end(mark) == ()
+
+    def test_copies_record_read_then_write_per_page(self):
+        chip = FlashChip(GEOMETRY)
+        source = chip.planes[0].allocate(BlockKind.LOG)
+        target = chip.planes[1].allocate(BlockKind.DATA)
+        for offset in range(3):
+            chip.program_page(source.base + offset, offset, OOBData(lbn=offset))
+        moves = [(source.base + offset, target.base + offset, offset)
+                 for offset in range(3)]
+        chip.copy_pages(moves[:1], 0.0, FTLStats())  # no capture open
+        mark = chip.op_recorder.begin()
+        assert mark == 0  # nothing was retained
+        chip.copy_pages(moves[1:], 0.0, FTLStats())
+        ops = chip.op_recorder.end(mark)
+        assert [(op.resource, op.kind) for op in ops] == [
+            ("plane:0", "page_read"), ("plane:1", "page_write"),
+        ] * 2

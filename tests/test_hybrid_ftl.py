@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from repro.errors import ConfigError, InvalidAddressError
+from repro.errors import ConfigError, CrashError, InvalidAddressError
 from repro.flash.chip import FlashChip
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.hybrid import HybridFTL, HybridFTLConfig
+from repro.ftl.ssd import SSD
+from repro.sim.crash import CrashInjector
 
 
 def make_ftl(planes=4, blocks=16, pages=8, **config):
@@ -168,3 +170,55 @@ class TestGarbageCollection:
         )
         assert ftl.device_memory_bytes() == expected
         assert expected > 0
+
+
+class TestCrashInsideFullMerge:
+    """A power cut at any page-program boundary of one full merge —
+    before or after each copy's program, clean or torn — leaves the
+    chip's incremental state consistent and its program counter equal
+    to the pages actually programmed."""
+
+    GEOMETRY = FlashGeometry(planes=2, blocks_per_plane=16, pages_per_block=8)
+
+    def prepared(self):
+        """A small SSD whose group ``group`` has live pages both in its
+        data block and in the random log; returns (ssd, group)."""
+        ssd = SSD(self.GEOMETRY, config=HybridFTLConfig(sequential_log=False))
+        rng = random.Random(3)
+        for version in range(400):
+            lpn = rng.randrange(ssd.capacity_pages)
+            ssd.write(lpn, ("w", lpn, version), dirty=bool(version % 2))
+        ftl = ssd.ftl
+        group = min(
+            group for group, _pbn in ftl.data_map.items()
+            if any(lpn // ftl.pages_per_block == group for lpn, _ in ftl.log_map.items())
+        )
+        return ssd, group
+
+    @staticmethod
+    def programmed(chip):
+        return sum(1 for state in chip.page_state if state)
+
+    def test_every_boundary_clean_and_torn(self):
+        ssd, group = self.prepared()
+        counter = CrashInjector()
+        ssd.attach_injector(counter)
+        copies_before = ssd.stats.gc_page_writes
+        ssd.ftl._full_merge_group(group)
+        copies = ssd.stats.gc_page_writes - copies_before
+        assert copies >= 4
+        assert counter.ticks == 2 * copies  # BEFORE and AFTER each program
+        for torn in (False, True):
+            for boundary in range(counter.ticks):
+                ssd, group = self.prepared()
+                chip = ssd.chip
+                writes, programmed = chip.stats.page_writes, self.programmed(chip)
+                injector = CrashInjector()
+                ssd.attach_injector(injector)
+                injector.arm(after_events=boundary, torn=torn)
+                with pytest.raises(CrashError):
+                    ssd.ftl._full_merge_group(group)
+                chip.audit()
+                landed = boundary // 2 + (boundary % 2 or torn)
+                assert self.programmed(chip) - programmed == landed
+                assert chip.stats.page_writes - writes == landed

@@ -6,6 +6,7 @@ resources, so the failure mode stays dead.
 
 import random
 
+import pytest
 
 from repro.errors import CacheFullError
 from repro.flash.block import BlockKind
@@ -265,3 +266,39 @@ class TestStaleBlockEntryAfterLogBitRot:
             for _group, pbn in ssc.engine.data_map.items():
                 assert not ssc.chip.plane_of_block(pbn).is_free(pbn)
             ssc.chip.audit()
+
+
+class TestBitRotSurvivesRelocation:
+    """Garbage collection used to re-stamp each copied page's OOB
+    checksum from its (possibly rotted) payload, so a page that rotted
+    in place verified again once a merge had moved it, and recovery
+    served the damaged payload: 25 writes after the rot, LBN 3 read
+    back ``('<bitrot>', ('w', 3))``.  Relocation now carries the stored
+    checksum, so the damage stays detectable and is discarded."""
+
+    def test_rotted_page_is_discarded_after_a_merge_moves_it(self):
+        from repro.check import faults
+        from repro.check.explorer import build_device
+        from repro.errors import NotPresentError
+
+        ssc = build_device()
+        for lbn in range(40):
+            ssc.write_dirty(lbn, ("w", lbn))
+        location = ssc.engine.current_location(3)
+        faults.rot_page(ssc.chip, location[2])
+        group_size = ssc.chip.geometry.pages_per_block
+        neighbours = [lbn for lbn in range(group_size) if lbn != 3]
+        writes = 0
+        while ssc.engine.current_location(3) == location:
+            lbn = neighbours[writes % len(neighbours)]
+            ssc.write_dirty(lbn, ("w", lbn))
+            writes += 1
+            assert writes < 200, "no merge relocated LBN 3"
+        ssc.crash()
+        ssc.recover()
+        ssc.chip.audit()
+        with pytest.raises(NotPresentError):
+            ssc.read(3)
+        for lbn in range(40):
+            if lbn != 3:
+                assert ssc.read(lbn)[0] == ("w", lbn)
